@@ -8,10 +8,37 @@ use crate::error::{LodError, Result};
 use crate::graph::{Graph, Triple};
 use crate::term::{Iri, Literal, Term};
 use std::fmt::Write as _;
+use std::iter::Peekable;
+use std::str::Chars;
+
+/// Read a blank node's label, after its `_:`, by the N-Triples 1.1
+/// `BLANK_NODE_LABEL` rule that both readers share: letters, digits, `_`
+/// and `-`, plus `.` only between two label characters, so a `.` right
+/// after a label ends the statement. Empty when no label character
+/// follows.
+pub(crate) fn blank_label(chars: &mut Peekable<Chars<'_>>) -> String {
+    let is_label = |c: &char| c.is_alphanumeric() || matches!(c, '_' | '-');
+    let mut label = String::new();
+    loop {
+        match chars.peek() {
+            Some(c) if is_label(c) => {}
+            Some('.') if !label.is_empty() => {
+                let mut ahead = chars.clone();
+                ahead.next();
+                if !ahead.peek().is_some_and(is_label) {
+                    break;
+                }
+            }
+            _ => break,
+        }
+        label.push(chars.next().expect("peeked"));
+    }
+    label
+}
 
 /// A cursor over one line of N-Triples input.
 struct Cursor<'a> {
-    chars: std::iter::Peekable<std::str::Chars<'a>>,
+    chars: Peekable<Chars<'a>>,
     line: usize,
 }
 
@@ -59,11 +86,7 @@ impl<'a> Cursor<'a> {
     fn parse_blank(&mut self) -> Result<Term> {
         self.expect('_')?;
         self.expect(':')?;
-        let mut s = String::new();
-        while matches!(self.chars.peek(), Some(c) if c.is_alphanumeric() || *c == '_' || *c == '-')
-        {
-            s.push(self.chars.next().expect("peeked"));
-        }
+        let s = blank_label(&mut self.chars);
         if s.is_empty() {
             return Err(self.err("empty blank node label"));
         }

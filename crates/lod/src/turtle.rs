@@ -8,6 +8,7 @@
 
 use crate::error::{LodError, Result};
 use crate::graph::{Graph, Triple};
+use crate::ntriples::blank_label;
 use crate::term::{Iri, Literal, Term};
 use crate::vocab::xsd;
 use std::collections::HashMap;
@@ -24,6 +25,7 @@ enum Token {
     },
     Integer(String),
     Decimal(String),
+    Double(String),
     Boolean(bool),
     A,
     PrefixDecl,
@@ -165,7 +167,7 @@ impl<'a> Lexer<'a> {
         if matches!(self.chars.peek(), Some('+' | '-')) {
             s.push(self.bump().expect("peeked"));
         }
-        let mut is_decimal = false;
+        let (mut has_dot, mut has_exponent) = (false, false);
         while let Some(&c) = self.chars.peek() {
             if c.is_ascii_digit() {
                 s.push(self.bump().expect("peeked"));
@@ -175,13 +177,13 @@ impl<'a> Lexer<'a> {
                 let mut clone = self.chars.clone();
                 clone.next();
                 if matches!(clone.peek(), Some(d) if d.is_ascii_digit()) {
-                    is_decimal = true;
+                    has_dot = true;
                     s.push(self.bump().expect("peeked"));
                 } else {
                     break;
                 }
             } else if c == 'e' || c == 'E' {
-                is_decimal = true;
+                has_exponent = true;
                 s.push(self.bump().expect("peeked"));
                 if matches!(self.chars.peek(), Some('+' | '-')) {
                     s.push(self.bump().expect("peeked"));
@@ -193,14 +195,25 @@ impl<'a> Lexer<'a> {
         if s.is_empty() || s == "+" || s == "-" {
             return Err(self.err("malformed number"));
         }
-        if is_decimal {
-            Ok(Token::Decimal(s))
+        // Only an exponent makes a bare number `xsd:double`.
+        Ok(if has_exponent {
+            Token::Double(s)
+        } else if has_dot {
+            Token::Decimal(s)
         } else {
-            Ok(Token::Integer(s))
-        }
+            Token::Integer(s)
+        })
     }
 
     fn lex_name(&mut self) -> Result<Token> {
+        if self.chars.clone().take(2).eq(['_', ':']) {
+            self.chars.nth(1);
+            let label = blank_label(&mut self.chars);
+            if label.is_empty() {
+                return Err(self.err("empty blank node label"));
+            }
+            return Ok(Token::Blank(label));
+        }
         let mut s = String::new();
         while matches!(self.chars.peek(), Some(c) if c.is_alphanumeric() || matches!(c, '_' | '-' | ':' | '.'))
         {
@@ -222,17 +235,10 @@ impl<'a> Lexer<'a> {
             "false" => Ok(Token::Boolean(false)),
             _ => {
                 if let Some(colon) = s.find(':') {
-                    if let Some(label) = s.strip_prefix("_:") {
-                        if label.is_empty() {
-                            return Err(self.err("empty blank node label"));
-                        }
-                        Ok(Token::Blank(label.to_string()))
-                    } else {
-                        Ok(Token::Prefixed(
-                            s[..colon].to_string(),
-                            s[colon + 1..].to_string(),
-                        ))
-                    }
+                    Ok(Token::Prefixed(
+                        s[..colon].to_string(),
+                        s[colon + 1..].to_string(),
+                    ))
                 } else {
                     Err(self.err(format!("unexpected token: {s}")))
                 }
@@ -342,7 +348,8 @@ impl Parser {
                 Ok(Term::Literal(lit))
             }
             Token::Integer(s) => Ok(Term::Literal(Literal::typed(s, xsd::integer()))),
-            Token::Decimal(s) => Ok(Term::Literal(Literal::typed(s, xsd::double()))),
+            Token::Decimal(s) => Ok(Term::Literal(Literal::typed(s, xsd::decimal()))),
+            Token::Double(s) => Ok(Term::Literal(Literal::typed(s, xsd::double()))),
             Token::Boolean(b) => Ok(Term::Literal(Literal::boolean(b))),
             Token::A => Ok(Term::Iri(crate::vocab::rdf::type_())),
             t => Err(self.err_at(format!("unexpected token {t:?}"))),
@@ -533,6 +540,22 @@ ex:bob a ex:Person ;
         match parse_turtle(src).unwrap_err() {
             LodError::Parse { line, .. } => assert!(line >= 2, "line was {line}"),
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn only_an_exponent_makes_a_bare_number_double() {
+        for (number, datatype) in [
+            ("1.65", "decimal"),
+            ("1.65e0", "double"),
+            ("1E3", "double"),
+            ("7", "integer"),
+        ] {
+            let g = parse_turtle(&format!("<http://a> <http://v> {number} .")).unwrap();
+            let object = g.iter().next().unwrap().object;
+            let lit = object.as_literal().unwrap();
+            assert_eq!(lit.lexical, number);
+            assert_eq!(lit.datatype.as_ref().unwrap().local_name(), datatype);
         }
     }
 

@@ -61,6 +61,8 @@ vocab!(
     {
         /// `xsd:integer`.
         integer => "integer",
+        /// `xsd:decimal`.
+        decimal => "decimal",
         /// `xsd:double`.
         double => "double",
         /// `xsd:boolean`.

@@ -187,11 +187,11 @@ impl SplitMemo {
 /// membership stamp (a stable filter preserves sort order), so no node
 /// ever re-sorts and per-level work shrinks with the partitions. Sort
 /// order is `(value, row)` under `total_cmp`. Tie order among equal
-/// non-NaN values never influences the chosen split: equal values admit
-/// no threshold between them, and class counts accumulate as exact
-/// integers. Present NaNs are the exception. `NaN != NaN`, so every
-/// boundary between two NaNs is a candidate (with a NaN threshold), and
-/// its left counts depend on the tie order.
+/// values never influences the chosen split: equal values admit no
+/// threshold between them, and class counts accumulate as exact
+/// integers. Every present value is finite, since
+/// [`Instances`](crate::instances::Instances) stores a NaN or ±∞ cell
+/// as missing.
 struct FitCtx<'m> {
     /// Label cache, one slot per view row.
     labels: Vec<Option<usize>>,
@@ -674,8 +674,7 @@ impl Classifier for DecisionTree {
                             children,
                         } => {
                             let child = match cols.get(*attribute).and_then(|c| c.get(i)) {
-                                // Keep the reference's `<=` comparison
-                                // (a present NaN goes right, as before).
+                                // Keep the reference's `<=` comparison.
                                 Some(v) => {
                                     if v <= *threshold {
                                         0

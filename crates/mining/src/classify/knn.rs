@@ -15,15 +15,15 @@
 
 use super::Classifier;
 use crate::error::{MiningError, Result};
-use crate::instances::{AttrKind, Bitmap, InstancesView};
+use crate::instances::{AttrKind, InstancesView};
 use std::cell::RefCell;
 use std::cmp::Ordering;
 
 /// One training attribute gathered into contiguous columnar storage.
 #[derive(Debug, Clone)]
 struct TrainColumn {
+    /// Cell values; missing slots hold `f64::NAN`.
     values: Vec<f64>,
-    validity: Bitmap,
     numeric: bool,
     /// Min-max of the training column (numeric only).
     range: Option<(f64, f64)>,
@@ -82,19 +82,19 @@ impl Knn {
         match (col.numeric, col.range) {
             (true, Some((lo, hi))) if hi > lo => {
                 let span = hi - lo;
-                for (i, a) in acc.iter_mut().enumerate() {
-                    if col.validity.get(i) {
-                        let d = ((x - col.values[i]).abs() / span).min(1.0);
-                        *a += d * d;
-                    } else {
+                for (a, &v) in acc.iter_mut().zip(&col.values) {
+                    if v.is_nan() {
                         *a += 1.0;
+                    } else {
+                        let d = ((x - v).abs() / span).min(1.0);
+                        *a += d * d;
                     }
                 }
             }
             // Degenerate numeric range or nominal: 0/1 match distance.
             _ => {
-                for (i, a) in acc.iter_mut().enumerate() {
-                    if !(col.validity.get(i) && x == col.values[i]) {
+                for (a, &v) in acc.iter_mut().zip(&col.values) {
+                    if x != v {
                         *a += 1.0;
                     }
                 }
@@ -154,30 +154,20 @@ impl Classifier for Knn {
             let numeric = data.attribute(a).kind == AttrKind::Numeric;
             let col = data.col(a);
             let mut values = Vec::with_capacity(labeled.len());
-            let mut validity = Bitmap::with_capacity(labeled.len());
             let mut lo = f64::INFINITY;
             let mut hi = f64::NEG_INFINITY;
             let mut any = false;
             for &i in &labeled {
-                match col.get(i) {
-                    Some(v) => {
-                        values.push(v);
-                        validity.push(true);
-                        if numeric {
-                            lo = lo.min(v);
-                            hi = hi.max(v);
-                            any = true;
-                        }
-                    }
-                    None => {
-                        values.push(f64::NAN);
-                        validity.push(false);
-                    }
+                let v = col.get(i).unwrap_or(f64::NAN);
+                values.push(v);
+                if numeric && !v.is_nan() {
+                    lo = lo.min(v);
+                    hi = hi.max(v);
+                    any = true;
                 }
             }
             columns.push(TrainColumn {
                 values,
-                validity,
                 numeric,
                 range: (numeric && any).then_some((lo, hi)),
             });

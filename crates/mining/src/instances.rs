@@ -4,15 +4,13 @@
 //! # Data layout (DESIGN.md §11)
 //!
 //! Storage is columnar struct-of-arrays: each attribute is one
-//! contiguous `Vec<f64>` plus a validity [`Bitmap`] (one bit per row).
-//! Missing cells carry a NaN sentinel in the value slot, but the bitmap
-//! is the ground truth for presence — a *present* NaN (bit set, value
-//! NaN) is representable and kept distinct from a missing cell, exactly
-//! as the old `Option<f64>` rows distinguished `Some(NAN)` from `None`.
-//! Numeric attributes hold their value; nominal attributes hold a
-//! category index (as `f64` so one column type serves both). Classifiers
-//! must tolerate missing cells, since the quality experiments inject
-//! missingness on purpose.
+//! contiguous `Vec<f64>`, and a NaN in a value slot is the one missing
+//! marker. A non-finite numeric cell (NaN or ±∞) is stored as missing,
+//! so a table with such cells trains and predicts exactly like the same
+//! table with those cells null. Numeric attributes hold their value;
+//! nominal attributes hold a category index (as `f64` so one column type
+//! serves both). Classifiers must tolerate missing cells, since the
+//! quality experiments inject missingness on purpose.
 //!
 //! Per-column statistics (min/max/mean/mode/present-count) are computed
 //! once at construction and cached, so [`Instances::numeric_ranges`],
@@ -56,109 +54,6 @@ pub struct Attribute {
     pub kind: AttrKind,
 }
 
-/// A fixed-length validity bitmap: bit `i` set ⇔ row `i` is present.
-///
-/// Backed by `u64` words, little-endian within a word (bit `i` lives at
-/// `words[i / 64] >> (i % 64)`). Bits past `len` are kept zero so word
-/// slices of equal-length bitmaps compare directly.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Bitmap {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl Bitmap {
-    /// A bitmap of `len` bits, all set (`filled = true`) or all clear.
-    pub fn new(len: usize, filled: bool) -> Self {
-        let mut b = Bitmap {
-            words: vec![if filled { !0u64 } else { 0 }; len.div_ceil(64)],
-            len,
-        };
-        if filled {
-            b.clear_tail();
-        }
-        b
-    }
-
-    /// An empty bitmap ready for [`Bitmap::push`].
-    pub fn with_capacity(bits: usize) -> Self {
-        Bitmap {
-            words: Vec::with_capacity(bits.div_ceil(64)),
-            len: 0,
-        }
-    }
-
-    fn clear_tail(&mut self) {
-        let tail = self.len % 64;
-        if tail != 0 {
-            if let Some(w) = self.words.last_mut() {
-                *w &= (1u64 << tail) - 1;
-            }
-        }
-    }
-
-    /// Number of bits.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True iff the bitmap has zero bits.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Bit `i` (panics past the end).
-    #[inline]
-    pub fn get(&self, i: usize) -> bool {
-        assert!(i < self.len, "bit {i} out of range for {} bits", self.len);
-        (self.words[i / 64] >> (i % 64)) & 1 == 1
-    }
-
-    /// Set bit `i` to `value`.
-    #[inline]
-    pub fn set(&mut self, i: usize, value: bool) {
-        assert!(i < self.len, "bit {i} out of range for {} bits", self.len);
-        let (w, b) = (i / 64, i % 64);
-        if value {
-            self.words[w] |= 1u64 << b;
-        } else {
-            self.words[w] &= !(1u64 << b);
-        }
-    }
-
-    /// Append one bit.
-    pub fn push(&mut self, value: bool) {
-        if self.len.is_multiple_of(64) {
-            self.words.push(0);
-        }
-        if value {
-            let i = self.len;
-            self.words[i / 64] |= 1u64 << (i % 64);
-        }
-        self.len += 1;
-    }
-
-    /// Number of set bits.
-    pub fn count_ones(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// True iff every bit is set.
-    pub fn all_set(&self) -> bool {
-        self.count_ones() == self.len
-    }
-
-    /// True iff no bit is set.
-    pub fn none_set(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    /// The backing words (tail bits past `len` are zero).
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-}
-
 /// Cached per-column statistics, computed at construction time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnStats {
@@ -172,53 +67,38 @@ pub struct ColumnStats {
     pub mode: Option<f64>,
 }
 
-/// One attribute's storage: contiguous values, validity, cached stats.
+/// The value slot of a cell: a missing or non-finite cell is NaN.
+#[inline]
+fn slot(cell: Option<f64>) -> f64 {
+    cell.filter(|v| v.is_finite()).unwrap_or(f64::NAN)
+}
+
+/// A value slot read back as a cell (NaN = missing).
+#[inline]
+fn cell(v: f64) -> Option<f64> {
+    (!v.is_nan()).then_some(v)
+}
+
+/// One attribute's storage: contiguous values and cached stats.
 #[derive(Debug, Clone)]
 struct ColumnData {
-    /// Cell values; missing slots hold `f64::NAN` (see module docs:
-    /// `validity` is the ground truth for presence).
+    /// Cell values; missing slots hold `f64::NAN`.
     values: Vec<f64>,
-    validity: Bitmap,
     stats: ColumnStats,
 }
 
 impl ColumnData {
     fn from_options<I: IntoIterator<Item = Option<f64>>>(kind: &AttrKind, cells: I) -> Self {
-        let mut values = Vec::new();
-        let mut validity = Bitmap::with_capacity(0);
-        for cell in cells {
-            match cell {
-                Some(v) => {
-                    values.push(v);
-                    validity.push(true);
-                }
-                None => {
-                    values.push(f64::NAN);
-                    validity.push(false);
-                }
-            }
-        }
-        let stats = compute_stats(kind, &values, &validity, 0..values.len());
-        ColumnData {
-            values,
-            validity,
-            stats,
-        }
+        Self::new(kind, cells.into_iter().map(slot).collect())
     }
 
     fn gather(&self, kind: &AttrKind, indices: &[usize]) -> Self {
-        let mut values = Vec::with_capacity(indices.len());
-        let mut validity = Bitmap::with_capacity(indices.len());
-        for &i in indices {
-            values.push(self.values[i]);
-            validity.push(self.validity.get(i));
-        }
-        let stats = compute_stats(kind, &values, &validity, 0..values.len());
-        ColumnData {
-            values,
-            validity,
-            stats,
-        }
+        Self::new(kind, indices.iter().map(|&i| self.values[i]).collect())
+    }
+
+    fn new(kind: &AttrKind, values: Vec<f64>) -> Self {
+        let stats = compute_stats(kind, &values, 0..values.len());
+        ColumnData { values, stats }
     }
 }
 
@@ -231,7 +111,6 @@ impl ColumnData {
 fn compute_stats(
     kind: &AttrKind,
     values: &[f64],
-    validity: &Bitmap,
     rows: impl IntoIterator<Item = usize>,
 ) -> ColumnStats {
     match kind {
@@ -241,8 +120,8 @@ fn compute_stats(
             let mut sum = 0.0;
             let mut present = 0usize;
             for r in rows {
-                if validity.get(r) {
-                    let v = values[r];
+                let v = values[r];
+                if !v.is_nan() {
                     lo = lo.min(v);
                     hi = hi.max(v);
                     sum += v;
@@ -260,9 +139,10 @@ fn compute_stats(
             let mut counts = vec![0usize; dict.len()];
             let mut present = 0usize;
             for r in rows {
-                if validity.get(r) {
+                let v = values[r];
+                if !v.is_nan() {
                     present += 1;
-                    let idx = values[r] as usize;
+                    let idx = v as usize;
                     if idx < counts.len() {
                         counts[idx] += 1;
                     }
@@ -284,8 +164,8 @@ fn compute_stats(
 }
 
 /// A mining dataset in columnar struct-of-arrays layout (see module
-/// docs): one contiguous value vector + validity bitmap per attribute,
-/// plus optional class labels.
+/// docs): one contiguous value vector per attribute, plus optional class
+/// labels.
 #[derive(Debug, Clone)]
 pub struct Instances {
     /// Attribute metadata, in column order.
@@ -299,9 +179,8 @@ pub struct Instances {
 }
 
 impl PartialEq for Instances {
-    /// Cell-level equality with the old row-major semantics: missing
-    /// matches missing, present values compare with `f64` equality (so a
-    /// present NaN is unequal to itself, exactly like `Some(NAN)`).
+    /// Cell-level equality: missing matches missing, present values
+    /// compare with `f64` equality.
     fn eq(&self, other: &Self) -> bool {
         if self.attributes != other.attributes
             || self.labels != other.labels
@@ -311,8 +190,10 @@ impl PartialEq for Instances {
             return false;
         }
         self.columns.iter().zip(&other.columns).all(|(a, b)| {
-            a.validity == b.validity
-                && (0..self.n_rows).all(|i| !a.validity.get(i) || a.values[i] == b.values[i])
+            a.values
+                .iter()
+                .map(|&v| cell(v))
+                .eq(b.values.iter().map(|&v| cell(v)))
         })
     }
 }
@@ -477,39 +358,27 @@ impl Instances {
         counts
     }
 
-    /// Cell value (`None` = missing). The validity bit decides presence,
-    /// so a present NaN comes back as `Some(NAN)`.
+    /// Cell value (`None` = missing).
     #[inline]
     pub fn get(&self, row: usize, attr: usize) -> Option<f64> {
-        let col = &self.columns[attr];
-        col.validity.get(row).then(|| col.values[row])
+        cell(self.columns[attr].values[row])
     }
 
-    /// Overwrite one cell and recompute the column's cached stats.
+    /// Overwrite one cell and recompute the column's cached stats. A
+    /// non-finite value is stored as missing.
     pub fn set(&mut self, row: usize, attr: usize, value: Option<f64>) {
-        let kind = self.attributes[attr].kind.clone();
         let col = &mut self.columns[attr];
-        match value {
-            Some(v) => {
-                col.values[row] = v;
-                col.validity.set(row, true);
-            }
-            None => {
-                col.values[row] = f64::NAN;
-                col.validity.set(row, false);
-            }
-        }
-        col.stats = compute_stats(&kind, &col.values, &col.validity, 0..col.values.len());
+        col.values[row] = slot(value);
+        col.stats = compute_stats(
+            &self.attributes[attr].kind,
+            &col.values,
+            0..col.values.len(),
+        );
     }
 
     /// The contiguous value slice of one attribute (NaN at missing slots).
     pub fn column_values(&self, attr: usize) -> &[f64] {
         &self.columns[attr].values
-    }
-
-    /// The validity bitmap of one attribute.
-    pub fn column_validity(&self, attr: usize) -> &Bitmap {
-        &self.columns[attr].validity
     }
 
     /// Cached statistics of one attribute.
@@ -519,10 +388,8 @@ impl Instances {
 
     /// A borrowed column accessor (unmasked).
     pub fn col(&self, attr: usize) -> ColumnView<'_> {
-        let col = &self.columns[attr];
         ColumnView {
-            values: &col.values,
-            validity: &col.validity,
+            values: &self.columns[attr].values,
             rows: None,
         }
     }
@@ -530,11 +397,7 @@ impl Instances {
     /// Copy one row's cells into `buf` (cleared first).
     pub fn fill_row(&self, row: usize, buf: &mut Vec<Option<f64>>) {
         buf.clear();
-        buf.extend(
-            self.columns
-                .iter()
-                .map(|c| c.validity.get(row).then(|| c.values[row])),
-        );
+        buf.extend(self.columns.iter().map(|c| cell(c.values[row])));
     }
 
     /// One row as owned cells (prefer [`Instances::fill_row`] in loops).
@@ -707,10 +570,8 @@ impl<'a> InstancesView<'a> {
 
     /// A borrowed column accessor (carries the view's row selection).
     pub fn col(&self, attr: usize) -> ColumnView<'_> {
-        let col = &self.data.columns[self.base_attr(attr)];
         ColumnView {
-            values: &col.values,
-            validity: &col.validity,
+            values: &self.data.columns[self.base_attr(attr)].values,
             rows: self.rows.as_deref(),
         }
     }
@@ -720,8 +581,7 @@ impl<'a> InstancesView<'a> {
         buf.clear();
         let base = self.base_row(row);
         for j in 0..self.n_attributes() {
-            let col = &self.data.columns[self.base_attr(j)];
-            buf.push(col.validity.get(base).then(|| col.values[base]));
+            buf.push(cell(self.data.columns[self.base_attr(j)].values[base]));
         }
     }
 
@@ -796,15 +656,11 @@ impl<'a> InstancesView<'a> {
         let base = self.base_attr(attr);
         match &self.rows {
             None => self.data.columns[base].stats.clone(),
-            Some(rows) => {
-                let col = &self.data.columns[base];
-                compute_stats(
-                    &self.data.attributes[base].kind,
-                    &col.values,
-                    &col.validity,
-                    rows.iter().copied(),
-                )
-            }
+            Some(rows) => compute_stats(
+                &self.data.attributes[base].kind,
+                &self.data.columns[base].values,
+                rows.iter().copied(),
+            ),
         }
     }
 
@@ -837,13 +693,10 @@ impl<'a> InstancesView<'a> {
 
 /// A borrowed single-column accessor carrying an optional row selection.
 ///
-/// `get(i)` addresses the `i`-th selected row; [`ColumnView::dense`]
-/// exposes the raw contiguous slices on unmasked columns for tight
-/// kernel loops.
+/// `get(i)` addresses the `i`-th selected row.
 #[derive(Debug, Clone, Copy)]
 pub struct ColumnView<'a> {
     values: &'a [f64],
-    validity: &'a Bitmap,
     rows: Option<&'a [usize]>,
 }
 
@@ -868,26 +721,7 @@ impl<'a> ColumnView<'a> {
             Some(rows) => rows[i],
             None => i,
         };
-        self.validity.get(r).then(|| self.values[r])
-    }
-
-    /// Presence of a view-local row.
-    #[inline]
-    pub fn is_present(&self, i: usize) -> bool {
-        let r = match self.rows {
-            Some(rows) => rows[i],
-            None => i,
-        };
-        self.validity.get(r)
-    }
-
-    /// The raw `(values, validity)` slices when no row selection is
-    /// active (the fast path for dense kernels); `None` when masked.
-    pub fn dense(&self) -> Option<(&'a [f64], &'a Bitmap)> {
-        match self.rows {
-            None => Some((self.values, self.validity)),
-            Some(_) => None,
-        }
+        cell(self.values[r])
     }
 
     /// Iterate cells in view order.
@@ -988,40 +822,6 @@ mod tests {
     }
 
     #[test]
-    fn bitmap_set_get_count() {
-        let mut b = Bitmap::new(130, false);
-        assert_eq!(b.len(), 130);
-        assert_eq!(b.count_ones(), 0);
-        assert!(b.none_set());
-        b.set(0, true);
-        b.set(64, true);
-        b.set(129, true);
-        assert!(b.get(0) && b.get(64) && b.get(129));
-        assert!(!b.get(1) && !b.get(63) && !b.get(128));
-        assert_eq!(b.count_ones(), 3);
-        b.set(64, false);
-        assert!(!b.get(64));
-        assert_eq!(b.count_ones(), 2);
-    }
-
-    #[test]
-    fn bitmap_filled_clears_tail_bits() {
-        let b = Bitmap::new(70, true);
-        assert!(b.all_set());
-        assert_eq!(b.count_ones(), 70);
-        // The 6-bit tail word must not carry set bits past `len`,
-        // so equal-length bitmaps compare by word slices.
-        assert_eq!(b.words()[1], (1u64 << 6) - 1);
-        assert_eq!(b, {
-            let mut p = Bitmap::with_capacity(70);
-            for _ in 0..70 {
-                p.push(true);
-            }
-            p
-        });
-    }
-
-    #[test]
     fn bitmap_all_missing_and_no_missing_columns() {
         let attr = Attribute {
             name: "x".into(),
@@ -1033,7 +833,7 @@ mod tests {
             vec![None; 3],
             vec![],
         );
-        assert!(full.column_validity(0).all_set());
+        assert!(full.col(0).iter().all(|c| c.is_some()));
         assert_eq!(full.column_stats(0).present, 3);
         let empty = Instances::from_rows(
             vec![attr],
@@ -1041,7 +841,7 @@ mod tests {
             vec![None; 3],
             vec![],
         );
-        assert!(empty.column_validity(0).none_set());
+        assert!(empty.col(0).iter().all(|c| c.is_none()));
         assert_eq!(empty.column_stats(0).present, 0);
         assert_eq!(empty.numeric_ranges()[0], None);
         assert_eq!(empty.numeric_means()[0], None);
@@ -1049,22 +849,40 @@ mod tests {
     }
 
     #[test]
-    fn present_nan_stays_distinct_from_missing() {
+    fn non_finite_cells_are_missing() {
         let attr = Attribute {
             name: "x".into(),
             kind: AttrKind::Numeric,
         };
-        let inst = Instances::from_rows(
-            vec![attr],
-            vec![vec![Some(f64::NAN)], vec![None]],
-            vec![None; 2],
+        let cells = [Some(f64::NAN), Some(-f64::NAN), Some(f64::INFINITY), None];
+        let odd = Instances::from_rows(
+            vec![attr.clone()],
+            cells
+                .iter()
+                .map(|&c| vec![c])
+                .chain([vec![Some(2.0)]])
+                .collect(),
+            vec![None; 5],
             vec![],
         );
-        assert!(inst.get(0, 0).unwrap().is_nan());
-        assert_eq!(inst.get(1, 0), None);
-        assert_eq!(inst.column_stats(0).present, 1);
-        // A present NaN is unequal to itself — old Some(NAN) semantics.
-        assert_ne!(inst, inst.clone());
+        let null = Instances::from_rows(
+            vec![attr],
+            (0..4)
+                .map(|_| vec![None])
+                .chain([vec![Some(2.0)]])
+                .collect(),
+            vec![None; 5],
+            vec![],
+        );
+        assert!((0..4).all(|r| odd.get(r, 0).is_none()));
+        assert_eq!(odd.column_stats(0), null.column_stats(0));
+        assert_eq!(odd, null);
+        let mut inst = null.clone();
+        inst.set(4, 0, Some(f64::NEG_INFINITY));
+        assert_eq!(inst.get(4, 0), None);
+        assert_eq!(inst.column_stats(0).present, 0);
+        inst.set(4, 0, Some(-0.0));
+        assert_eq!(inst.get(4, 0).map(f64::to_bits), Some((-0.0f64).to_bits()));
     }
 
     #[test]
@@ -1137,15 +955,13 @@ mod tests {
     fn column_view_dense_and_masked_access() {
         let inst = Instances::from_table(&table(), Some("class"), &["id"]).unwrap();
         let dense = inst.col(1);
-        assert!(dense.dense().is_some());
         assert_eq!(dense.len(), 4);
         assert_eq!(dense.get(2), None);
-        assert!(!dense.is_present(2));
+        assert_eq!(dense.get(3), Some(0.0));
         let view = inst.view();
         let rows = [2usize, 0];
         let masked_view = view.select_rows(&rows);
         let col = masked_view.col(1);
-        assert!(col.dense().is_none());
         assert_eq!(col.len(), 2);
         assert_eq!(col.get(0), None);
         assert_eq!(col.get(1), Some(0.0));

@@ -36,10 +36,9 @@ fn centered_columns(data: &Instances, attr_indices: &[usize], means: &[f64]) -> 
         .iter()
         .zip(means)
         .map(|(&a, &m)| {
-            let values = data.column_values(a);
-            let validity = data.column_validity(a);
-            (0..data.len())
-                .map(|r| if validity.get(r) { values[r] - m } else { 0.0 })
+            data.column_values(a)
+                .iter()
+                .map(|&v| if v.is_nan() { 0.0 } else { v - m })
                 .collect()
         })
         .collect()

@@ -35,8 +35,9 @@ pub fn correlation_report(table: &Table, exclude: &[&str], threshold: f64) -> Co
 
 /// The correlation kernel over already-packed columns.
 ///
-/// A cell participates in a pair iff both cells are present **and
-/// finite** — the same pair filter as `openbi_table::stats::pearson`.
+/// A cell participates in a pair iff both cells are present — the same
+/// pair filter as `openbi_table::stats::pearson`, which also skips
+/// non-finite cells.
 pub(crate) fn report_from_packed(packed: &[PackedColumn], threshold: f64) -> CorrelationReport {
     let p = packed.len();
     // `saturating_sub`: a table with no numeric feature column has p = 0.
@@ -51,7 +52,7 @@ pub(crate) fn report_from_packed(packed: &[PackedColumn], threshold: f64) -> Cor
     for r in 0..n_rows {
         for (d, c) in packed.iter().enumerate() {
             let v = c.values[r];
-            usable[d] = c.present[r] && v.is_finite();
+            usable[d] = !v.is_nan();
             vals[d] = v;
         }
         let mut t = 0;
@@ -83,7 +84,7 @@ pub(crate) fn report_from_packed(packed: &[PackedColumn], threshold: f64) -> Cor
     for r in 0..n_rows {
         for (d, c) in packed.iter().enumerate() {
             let v = c.values[r];
-            usable[d] = c.present[r] && v.is_finite();
+            usable[d] = !v.is_nan();
             vals[d] = v;
         }
         let mut t = 0;

@@ -67,19 +67,16 @@ impl MeasureOptions {
 
 /// One numeric column packed into contiguous `f64` storage.
 ///
-/// `values[i]` is the cell's numeric value (ints widened to `f64`, float
-/// cells kept raw — including NaN and ±inf) and `present[i]` records
-/// whether the cell was non-null. Keeping presence separate from the
-/// value preserves the distinction the reference implementation sees
-/// through `Option<f64>`: a NaN *cell* is present (it counts toward
-/// outlier-cell totals) while a null is not.
+/// `values[i]` is the cell's numeric value (ints widened to `f64`), and
+/// NaN marks a missing cell: a null or non-finite cell packs as NaN, so
+/// every kernel reads presence from the value (`!v.is_nan()`) and a table
+/// with NaN or ±∞ cells measures exactly like the same table with those
+/// cells null.
 pub(crate) struct PackedColumn {
     /// Column name (for correlation-report pair labels).
     pub name: String,
-    /// Cell values; `0.0` placeholder where `present` is false.
+    /// Cell values; NaN where the cell is missing.
     pub values: Vec<f64>,
-    /// Non-null mask, parallel to `values`.
-    pub present: Vec<bool>,
 }
 
 /// Pack the non-excluded numeric (int/float) columns, in table order —
@@ -91,28 +88,18 @@ pub(crate) fn pack_numeric(table: &Table, exclude: &[&str]) -> Vec<PackedColumn>
         if exclude.contains(&c.name()) || !c.dtype().is_numeric() {
             continue;
         }
-        let (values, present): (Vec<f64>, Vec<bool>) = match c.data() {
-            ColumnData::Int(v) => v
-                .iter()
-                .map(|x| match x {
-                    Some(i) => (*i as f64, true),
-                    None => (0.0, false),
-                })
-                .unzip(),
+        let values = match c.data() {
+            ColumnData::Int(v) => v.iter().map(|x| x.map_or(f64::NAN, |i| i as f64)).collect(),
             ColumnData::Float(v) => v
                 .iter()
-                .map(|x| match x {
-                    Some(f) => (*f, true),
-                    None => (0.0, false),
-                })
-                .unzip(),
+                .map(|x| x.filter(|f| f.is_finite()).unwrap_or(f64::NAN))
+                .collect(),
             // `DataType::is_numeric` is int/float only.
             ColumnData::Str(_) | ColumnData::Bool(_) => unreachable!("filtered above"),
         };
         out.push(PackedColumn {
             name: c.name().to_string(),
             values,
-            present,
         });
     }
     out
@@ -243,22 +230,23 @@ mod tests {
     }
 
     #[test]
-    fn packing_preserves_presence_and_raw_values() {
+    fn packing_marks_null_and_non_finite_cells_nan() {
         let t = Table::new(vec![
-            Column::from_opt_i64("i", [Some(3), None]),
-            Column::from_opt_f64("f", [Some(f64::NAN), Some(-0.0)]),
-            Column::from_str_values("s", ["a", "b"]),
-            Column::from_bool("b", [true, false]),
+            Column::from_opt_i64("i", [Some(3), None, Some(-1)]),
+            Column::from_opt_f64("f", [Some(f64::NAN), Some(-0.0), Some(f64::NEG_INFINITY)]),
+            Column::from_str_values("s", ["a", "b", "c"]),
+            Column::from_bool("b", [true, false, true]),
         ])
         .unwrap();
         let packed = pack_numeric(&t, &[]);
         assert_eq!(packed.len(), 2, "strings and bools are not numeric");
         assert_eq!(packed[0].name, "i");
         assert_eq!(packed[0].values[0], 3.0);
-        assert_eq!(packed[0].present, vec![true, false]);
-        assert!(packed[1].values[0].is_nan(), "NaN cells stay present");
-        assert!(packed[1].present[0]);
+        assert!(packed[0].values[1].is_nan(), "a null packs as NaN");
+        assert_eq!(packed[0].values[2], -1.0);
+        assert!(packed[1].values[0].is_nan());
         assert_eq!(packed[1].values[1].to_bits(), (-0.0f64).to_bits());
+        assert!(packed[1].values[2].is_nan(), "±∞ packs as missing");
         let excluded = pack_numeric(&t, &["i"]);
         assert_eq!(excluded.len(), 1);
     }

@@ -27,11 +27,15 @@
 //! distance keeps its exact bits. The k nearest rows are kept by a
 //! bounded sorted insertion over the rows in ascending index order under
 //! `f64::total_cmp`, which selects the reference's neighbors in the
-//! reference's (distance, index) order, NaN of either sign and ±∞
-//! included. Normalization and variance accumulation also follow the
-//! reference's summation order, so for tables within `max_rows` the
-//! estimates are bit-identical except where the two documented bug fixes
-//! (exclusion handling, tie-breaking) intentionally change them.
+//! reference's (distance, index) order. Normalization and variance
+//! accumulation also follow the reference's summation order, so for
+//! tables within `max_rows` the estimates are bit-identical except where
+//! the two documented bug fixes (exclusion handling, tie-breaking)
+//! intentionally change them.
+//!
+//! A NaN or ±∞ feature cell is missing, like a null: it takes its
+//! column's mean, so a table with such cells scores exactly what the
+//! same table with those cells null scores.
 
 use super::{pack_numeric, PackedColumn};
 use openbi_table::{Column, Table, Value};
@@ -56,9 +60,9 @@ fn selected_rows(table: &Table, max_rows: usize, seed: u64) -> Vec<usize> {
 }
 
 /// Min-max normalized feature columns over the selected rows, one `Vec`
-/// per kept column (`cols[d][i]` belongs to `rows[i]`); nulls become
-/// column means. Columns with no present cell among the selected rows are
-/// dropped.
+/// per kept column (`cols[d][i]` belongs to `rows[i]`); missing cells
+/// become column means. Columns with no present cell among the selected
+/// rows are dropped.
 fn normalized_columns(packed: &[PackedColumn], rows: &[usize]) -> Vec<Vec<f64>> {
     packed
         .iter()
@@ -70,8 +74,8 @@ fn normalized_columns(packed: &[PackedColumn], rows: &[usize]) -> Vec<Vec<f64>> 
             let mut sum = 0.0;
             let mut count = 0usize;
             for &r in rows {
-                if c.present[r] {
-                    let v = c.values[r];
+                let v = c.values[r];
+                if !v.is_nan() {
                     lo = lo.min(v);
                     hi = hi.max(v);
                     sum += v;
@@ -86,7 +90,8 @@ fn normalized_columns(packed: &[PackedColumn], rows: &[usize]) -> Vec<Vec<f64>> 
             Some(
                 rows.iter()
                     .map(|&r| {
-                        let v = if c.present[r] { c.values[r] } else { mean };
+                        let v = c.values[r];
+                        let v = if v.is_nan() { mean } else { v };
                         (v - lo) / span
                     })
                     .collect(),

@@ -46,13 +46,7 @@ pub(crate) fn ratio_from_packed(packed: &[PackedColumn]) -> f64 {
     let mut scratch: Vec<f64> = Vec::new();
     for col in packed {
         scratch.clear();
-        scratch.extend(
-            col.values
-                .iter()
-                .zip(&col.present)
-                .filter(|(_, &p)| p)
-                .map(|(&v, _)| v),
-        );
+        scratch.extend(col.values.iter().filter(|v| !v.is_nan()));
         cells += scratch.len();
         if scratch.len() < 4 {
             continue;
@@ -63,9 +57,6 @@ pub(crate) fn ratio_from_packed(packed: &[PackedColumn]) -> f64 {
         let iqr = q3 - q1;
         let lo = q1 - K * iqr;
         let hi = q3 + K * iqr;
-        // NaN cells compare false on both fences, exactly as in the
-        // row-wise reference, so they count toward `cells` but never
-        // toward `outliers`.
         outliers += scratch.iter().filter(|&&x| x < lo || x > hi).count();
     }
     if cells == 0 {

@@ -4,7 +4,7 @@
 //! [`reference`](mod@reference) oracles the differential suites compare
 //! the live kernels against.
 
-use openbi_table::Rng;
+use openbi_table::{Column, ColumnData, Rng, Table};
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 
@@ -31,6 +31,24 @@ pub fn messy_csv() -> &'static str {
      ST009,south,39.5,33.0,high,poor\n\
      ST010,east,14.0,12.0,low,good\n\
      ST011,west,41.0,36.5,high,poor\n"
+}
+
+/// `table` with every NaN or ±∞ float cell made null: what the mining
+/// and quality kernels see in its feature columns. The frozen oracles,
+/// which keep a non-finite cell as a present value, are compared on this
+/// table. On a table with no such cell it is the identity.
+pub fn null_nonfinite(table: &Table) -> Table {
+    let columns = table
+        .columns()
+        .iter()
+        .map(|c| match c.data() {
+            ColumnData::Float(v) => {
+                Column::from_opt_f64(c.name(), v.iter().map(|x| x.filter(|f| f.is_finite())))
+            }
+            _ => c.clone(),
+        })
+        .collect();
+    Table::new(columns).expect("same shape as a valid table")
 }
 
 /// Check `property` on `cases` generated cases. Case `i` draws its

@@ -19,6 +19,8 @@
 //!    assignment is the same code path in both, so a mismatch is a
 //!    kernel difference. It runs a small roster on every corpus (see
 //!    [`corpora`]), and the `standard_suite` settings the §3.1 grid uses.
+//!    The live side stores a NaN or ±∞ cell as missing, so the reference
+//!    reads each corpus with those cells null (`null_nonfinite`).
 //! 2. **Holdout layer** — view-based `fit_view`/`predict_view` vs.
 //!    reference training on materialized subsets of the same rows.
 //! 3. **Grid layer** — the §3.1 experiment grid must produce the same
@@ -31,6 +33,7 @@ use openbi::kb::SnapshotKnowledgeBase;
 use openbi::mining::eval::crossval::{cross_validate_with, holdout_split, CrossValOptions};
 use openbi::mining::{AlgorithmSpec, Instances};
 use openbi_datagen::{all_scenarios, make_blobs, make_rule_based, BlobsConfig, RuleConfig};
+use openbi_integration::null_nonfinite;
 use openbi_integration::reference::mining as reference;
 use openbi_quality::{Degradation, MissingInjector};
 use openbi_table::{Column, Table};
@@ -169,9 +172,9 @@ fn discretized(n: usize, seed: u64) -> Table {
 }
 
 /// Non-finite inputs: one numeric column per value in `specials`, each
-/// holding that value as a present cell in about 4% of rows (plus ~5%
-/// missing), a learnable finite column, an all-missing column and a
-/// nominal column with gaps, over 3 classes.
+/// holding that value in about 4% of rows (plus ~5% missing), a
+/// learnable finite column, an all-missing column and a nominal column
+/// with gaps, over 3 classes.
 fn nonfinite(n: usize, seed: u64, specials: &[f64]) -> Table {
     const CLASSES: [&str; 3] = ["a", "b", "c"];
     const ZONES: [&str; 3] = ["x", "y", "z"];
@@ -212,23 +215,12 @@ fn nonfinite(n: usize, seed: u64, specials: &[f64]) -> Table {
     Table::new(columns).unwrap()
 }
 
-/// The learners whose live kernels do not match the reference on present
-/// NaN cells. The tree (and the forest built from it) sorts tied values
-/// by row, while the reference keeps each node's row order, and since
-/// `NaN != NaN` every boundary between two NaNs is a candidate split whose
-/// class counts depend on that order. Naive Bayes scores turn NaN, and
-/// its `total_cmp` argmax ranks a NaN by its sign bit, which neither
-/// implementation pins.
-const NAN_DIVERGENT: &[&str] = &["DecisionTree", "RandomForest", "NaiveBayes"];
-
-/// One CV corpus: a table, its target, the columns mining ignores, and
-/// the learners it is not checked on.
+/// One CV corpus: a table, its target and the columns mining ignores.
 struct Corpus {
     name: String,
     table: Table,
     target: String,
     exclude: Vec<String>,
-    unchecked: &'static [&'static str],
 }
 
 impl Corpus {
@@ -238,20 +230,17 @@ impl Corpus {
             table,
             target: target.into(),
             exclude: Vec::new(),
-            unchecked: &[],
         }
     }
 
-    fn checks(&self, spec: &AlgorithmSpec) -> bool {
-        !self.unchecked.contains(&spec.name())
-    }
-
-    /// The live and the frozen encoding of the corpus.
+    /// The live encoding of the corpus, and the frozen encoding of the
+    /// corpus with its non-finite cells null.
     fn instances(&self) -> (Instances, reference::Instances) {
         let exclude: Vec<&str> = self.exclude.iter().map(String::as_str).collect();
+        let nulled = null_nonfinite(&self.table);
         (
             Instances::from_table(&self.table, Some(&self.target), &exclude).unwrap(),
-            reference::Instances::from_table(&self.table, Some(&self.target), &exclude).unwrap(),
+            reference::Instances::from_table(&nulled, Some(&self.target), &exclude).unwrap(),
         )
     }
 }
@@ -264,9 +253,8 @@ impl Corpus {
 /// - the discretized-sensor table (the tie paths);
 /// - the three `all_scenarios` tables, whose nominal attributes drive
 ///   the one-hot logistic codes and the multiway tree splits;
-/// - two non-finite tables with an all-missing column: one with present
-///   `±∞` cells, one with present `±NaN` cells (not checked on
-///   [`NAN_DIVERGENT`]);
+/// - two non-finite tables with an all-missing column: one with `±∞`
+///   cells, one with `±NaN` cells;
 /// - a discretized table whose CV training folds are larger than the
 ///   tree's split-term memo cap (512 rows).
 fn corpora(seed: u64) -> Vec<Corpus> {
@@ -296,14 +284,14 @@ fn corpora(seed: u64) -> Vec<Corpus> {
         table: s.table,
         target: s.target,
         exclude: s.id_columns,
-        unchecked: &[],
     }));
     let infinite = nonfinite(180, seed, &[f64::INFINITY, f64::NEG_INFINITY]);
     corpora.push(Corpus::new("infinite", infinite, "class"));
-    corpora.push(Corpus {
-        unchecked: NAN_DIVERGENT,
-        ..Corpus::new("nan", nonfinite(180, seed, &[f64::NAN, -f64::NAN]), "class")
-    });
+    corpora.push(Corpus::new(
+        "nan",
+        nonfinite(180, seed, &[f64::NAN, -f64::NAN]),
+        "class",
+    ));
     corpora.push(Corpus::new(
         "past-memo-cap",
         discretized(840, seed),
@@ -366,7 +354,7 @@ fn assert_cv_identical(corpus: &Corpus, spec: &AlgorithmSpec, seed: u64, paralle
 fn cv_results_are_bitwise_identical_to_reference() {
     for seed in SEEDS {
         for corpus in corpora(seed) {
-            for spec in algorithms().iter().filter(|s| corpus.checks(s)) {
+            for spec in &algorithms() {
                 for parallel in [false, true] {
                     assert_cv_identical(&corpus, spec, seed, parallel);
                 }
@@ -383,24 +371,7 @@ fn standard_suite_cv_is_bitwise_identical_to_reference() {
     for seed in SEEDS {
         for corpus in corpora(seed) {
             for spec in AlgorithmSpec::standard_suite() {
-                if corpus.checks(&spec) {
-                    assert_cv_identical(&corpus, &spec, seed, false);
-                }
-            }
-        }
-    }
-}
-
-/// The known divergence: [`NAN_DIVERGENT`] on the present-NaN corpus.
-/// Run it with `--ignored` to see it; it passes once the tie order and
-/// the NaN scores are fixed on both sides.
-#[test]
-#[ignore = "the tree, forest and Naive Bayes differ from the reference on present NaN cells"]
-fn nan_divergent_learners_match_reference() {
-    for seed in SEEDS {
-        for corpus in corpora(seed) {
-            for spec in algorithms().iter().filter(|s| !corpus.checks(s)) {
-                assert_cv_identical(&corpus, spec, seed, false);
+                assert_cv_identical(&corpus, &spec, seed, false);
             }
         }
     }
@@ -416,7 +387,7 @@ fn holdout_predictions_are_identical_to_reference() {
             let (train, test) = holdout_split(&live, 0.3, seed).unwrap();
             let train_rows: Vec<usize> = (0..train.len()).map(|i| train.base_row(i)).collect();
             let test_rows: Vec<usize> = (0..test.len()).map(|i| test.base_row(i)).collect();
-            for spec in algorithms().iter().filter(|s| corpus.checks(s)) {
+            for spec in &algorithms() {
                 let mut new_model = spec.build();
                 new_model.fit_view(&train).unwrap();
                 let new_preds = new_model.predict_view(&test).unwrap();

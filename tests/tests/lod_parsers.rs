@@ -147,6 +147,7 @@ ex:bob ex:name "Bob"@en ;
     ex:active true ;
     ex:score "7"^^xsd:integer .
 _:obs ex:of ex:alice .
+_:a.b ex:of _:o.
 "#;
     let ntriples_doc = "\
 # comment line, then a blank line
@@ -156,6 +157,7 @@ _:obs ex:of ex:alice .
 <http://e.org/a> <http://e.org/age> \"30\"^^<http://www.w3.org/2001/XMLSchema#integer> .
 <http://e.org/a> <http://e.org/greet> \"hola\"@es .
 _:b0 <http://e.org/p> _:b1 .
+_:a.b <http://e.org/p> _:o.
 ";
     // Turtle: parse → write → parse must stabilize.
     let g1 = parse_turtle(turtle_doc).expect("valid document");
@@ -163,6 +165,9 @@ _:b0 <http://e.org/p> _:b1 .
     let g2 = parse_turtle(&text1).expect("round-tripped document");
     assert_eq!(triples(&g1), triples(&g2));
     assert_eq!(text1, write_turtle(&g2, &PrefixMap::default()));
+    // The N-Triples reader reads what the Turtle reader read.
+    let via_nt = parse_ntriples(&write_ntriples(&g1)).expect("Turtle graph as N-Triples");
+    assert_eq!(triples(&g1), triples(&via_nt));
 
     // N-Triples likewise; whitespace/comment layout normalizes away
     // but the triple set is untouched.
@@ -181,6 +186,35 @@ fn cross_format_round_trip_agrees() {
     let via_turtle = parse_turtle(&write_turtle(&g, &PrefixMap::default())).unwrap();
     let via_nt = parse_ntriples(&write_ntriples(&via_turtle)).unwrap();
     assert_eq!(triples(&g), triples(&via_nt));
+}
+
+/// Both readers apply one blank-node label rule: `.` inside a label, and
+/// a statement `.` right after one.
+#[test]
+fn both_readers_read_blank_labels_alike() {
+    for (doc, subject, object) in [
+        (
+            "_:a.b <http://p> <http://o> .",
+            Term::Blank("a.b".into()),
+            Term::iri("http://o"),
+        ),
+        (
+            "<http://s> <http://p> _:o.",
+            Term::iri("http://s"),
+            Term::Blank("o".into()),
+        ),
+    ] {
+        let expect = vec![Triple::new(subject, Term::iri("http://p"), object)];
+        for (format, got) in [
+            ("turtle", parse_turtle(doc)),
+            ("ntriples", parse_ntriples(doc)),
+        ] {
+            let g = got.unwrap_or_else(|e| panic!("{format} {doc:?}: {e}"));
+            assert_eq!(triples(&g), expect, "{format} {doc:?}");
+            let back = parse_ntriples(&write_ntriples(&g)).expect("own output parses");
+            assert_eq!(triples(&back), expect, "{format} {doc:?} round trip");
+        }
+    }
 }
 
 #[test]
@@ -206,6 +240,7 @@ fn malformed_turtle_errs_never_panics() {
         "<http://a> <http://b> \"x\"@ .",                // empty language tag
         "_: <http://b> <http://c> .",                    // empty blank subject label
         "<http://a> <http://b> _: .",                    // empty blank object label
+        "_:a:b <http://b> <http://c> .",                 // ':' in a blank label
     ];
     for (i, doc) in corpus.iter().enumerate() {
         let got = parse_turtle(doc);

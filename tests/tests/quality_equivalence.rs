@@ -30,6 +30,7 @@ use openbi::kb::SnapshotKnowledgeBase;
 use openbi::obs;
 use openbi::pipeline::{run_pipeline, DataSource, PipelineConfig};
 use openbi_datagen::{make_blobs, BlobsConfig};
+use openbi_integration::null_nonfinite;
 use openbi_integration::reference::quality as reference;
 use openbi_quality::measure::balance::balance_report;
 use openbi_quality::measure::consistency::format_signature;
@@ -663,7 +664,9 @@ const NOISE_KS: [usize; 5] = [0, 1, 3, 5, 12];
 
 /// `(case, k, label-noise bits, attribute-noise bits)` for every case of
 /// [`noise_cases`] at every k of [`NOISE_KS`], recorded from the row-major
-/// kernel with `select_nth_unstable_by` selection.
+/// kernel with `select_nth_unstable_by` selection. The rows of the three
+/// cases with NaN or ±∞ feature cells were recorded on the same tables
+/// with those cells null.
 const NOISE_GOLDEN: &[(&str, usize, u64, u64)] = &[
     (
         "three_class_ties",
@@ -739,32 +742,32 @@ const NOISE_GOLDEN: &[(&str, usize, u64, u64)] = &[
     (
         "nan_and_null_cells",
         1,
-        0x3fd8cccccccccccd,
-        0x3fe8538e9249bc78,
+        0x3fa5a240e6c2b448,
+        0x3fdbf157fb1b3085,
     ),
     (
         "nan_and_null_cells",
         3,
-        0x3fd8000000000000,
-        0x3fec7c1a99ad5260,
+        0x3f9999999999999a,
+        0x3fe30e6f93c1d2a0,
     ),
     (
         "nan_and_null_cells",
         5,
-        0x3fd8000000000000,
-        0x3feba37c8de6b7d3,
+        0x3f8999999999999a,
+        0x3fe547eada0d1663,
     ),
     (
         "nan_and_null_cells",
         12,
-        0x3fc3333333333333,
-        0x3ff0000000000000,
+        0x3fa3333333333333,
+        0x3fe92bc9f7a7100c,
     ),
     ("infinite_cells", 0, 0x0000000000000000, 0x0000000000000000),
-    ("infinite_cells", 1, 0x3fd6666666666666, 0x3fec9de6cdec14fb),
-    ("infinite_cells", 3, 0x3fd599999999999a, 0x3ff0000000000000),
-    ("infinite_cells", 5, 0x3fd599999999999a, 0x3ff0000000000000),
-    ("infinite_cells", 12, 0x3fd599999999999a, 0x3fefd23d5c6a726a),
+    ("infinite_cells", 1, 0x0000000000000000, 0x3fd1514b95e04407),
+    ("infinite_cells", 3, 0x0000000000000000, 0x3fdb035aa12b2f80),
+    ("infinite_cells", 5, 0x0000000000000000, 0x3fe01bef2cf4248e),
+    ("infinite_cells", 12, 0x0000000000000000, 0x3fe20d58a928776e),
     (
         "mixed_specials_sampled",
         0,
@@ -774,26 +777,26 @@ const NOISE_GOLDEN: &[(&str, usize, u64, u64)] = &[
     (
         "mixed_specials_sampled",
         1,
-        0x3fe44ec4ec4ec4ec,
-        0x3fe42120eb09b859,
+        0x3fc999999999999a,
+        0x3fdd786d7275011b,
     ),
     (
         "mixed_specials_sampled",
         3,
-        0x3fc89d89d89d89d9,
-        0x3fe3b5372b405455,
+        0x3fd4ec4ec4ec4ec5,
+        0x3fe6848e158cf1a1,
     ),
     (
         "mixed_specials_sampled",
         5,
-        0x3fd6276276276276,
-        0x3fe87959a98d7164,
+        0x3fd4ec4ec4ec4ec5,
+        0x3fe9e7e83d323d5d,
     ),
     (
         "mixed_specials_sampled",
         12,
-        0x3fdd89d89d89d89e,
-        0x3febbd9041c0b9d5,
+        0x3fd13b13b13b13b1,
+        0x3fed8298833e3615,
     ),
     ("duplicate_rows", 0, 0x0000000000000000, 0x0000000000000000),
     ("duplicate_rows", 1, 0x3ff0000000000000, 0x0000000000000000),
@@ -833,7 +836,8 @@ const NOISE_GOLDEN: &[(&str, usize, u64, u64)] = &[
 ];
 
 /// Both noise estimators keep their exact bits on inputs the
-/// frozen-reference comparisons above cannot reach.
+/// frozen-reference comparisons above cannot reach, and a NaN or ±∞
+/// feature cell scores exactly like a null one.
 #[test]
 fn noise_estimates_match_pinned_bits() {
     let mut drift = Vec::new();
@@ -841,21 +845,30 @@ fn noise_estimates_match_pinned_bits() {
     for case in noise_cases() {
         let mut features_ex: Vec<&str> = case.exclude.clone();
         features_ex.push(&case.target);
+        // Only the features: the target is read as label text.
+        let mut nulled = null_nonfinite(&case.table);
+        nulled
+            .replace_column(case.table.column(&case.target).unwrap().clone())
+            .unwrap();
         for k in NOISE_KS {
-            let label = label_noise_estimate(
-                &case.table,
-                &case.target,
-                &case.exclude,
-                k,
-                case.max_rows,
-                DEFAULT_NOISE_SEED,
-            );
-            let attr = attribute_noise_estimate(
-                &case.table,
-                &features_ex,
-                k,
-                case.max_rows,
-                DEFAULT_NOISE_SEED,
+            let [label, label_nulled] = [&case.table, &nulled].map(|t| {
+                label_noise_estimate(
+                    t,
+                    &case.target,
+                    &case.exclude,
+                    k,
+                    case.max_rows,
+                    DEFAULT_NOISE_SEED,
+                )
+            });
+            let [attr, attr_nulled] = [&case.table, &nulled].map(|t| {
+                attribute_noise_estimate(t, &features_ex, k, case.max_rows, DEFAULT_NOISE_SEED)
+            });
+            assert_eq!(
+                [bits(label), bits(attr)],
+                [bits(label_nulled), bits(attr_nulled)],
+                "{} k={k}: non-finite cells must score like nulls",
+                case.name
             );
             let &(_, _, label_bits, attr_bits) = NOISE_GOLDEN
                 .iter()
@@ -1054,6 +1067,6 @@ fn ratio_matches_reference_with_nan_cells() {
     ])
     .unwrap();
     let live = outlier_ratio(&t, &[]);
-    let frozen = reference::outliers::outlier_ratio(&t, &[]);
+    let frozen = reference::outliers::outlier_ratio(&null_nonfinite(&t), &[]);
     assert_eq!(live.to_bits(), frozen.to_bits());
 }
