@@ -7,10 +7,10 @@
 //! * **A3** — decision-tree capacity (depth × min-leaf) under label
 //!   noise: does capping capacity act as noise regularization?
 
-use crate::harness::default_datasets;
+use crate::harness::{default_datasets, run_grid};
 use crate::result_table::{Cell, ResultTable};
-use openbi::experiment::{evaluate_variant, Criterion, ExperimentConfig, ExperimentDataset};
-use openbi::kb::{leave_one_dataset_out, Advisor, SnapshotKnowledgeBase};
+use openbi::experiment::{Criterion, ExperimentCell, ExperimentConfig};
+use openbi::kb::{leave_one_dataset_out, Advisor, ExperimentRecord, SnapshotKnowledgeBase};
 use openbi::mining::AlgorithmSpec;
 use openbi::Result;
 
@@ -65,6 +65,34 @@ pub fn a1_advisor_params() -> Result<Vec<ResultTable>> {
     Ok(vec![out])
 }
 
+/// One cell per (default dataset, severity) of `criterion`, each
+/// evaluating every algorithm of `algorithms` with 3-fold CV at `SEED`:
+/// each cell's severity and records, in grid order.
+fn severity_grid(
+    criterion: Criterion,
+    algorithms: Vec<AlgorithmSpec>,
+) -> Result<Vec<(f64, Vec<ExperimentRecord>)>> {
+    let datasets = default_datasets(SEED);
+    let config = ExperimentConfig {
+        algorithms,
+        folds: 3,
+        seed: SEED,
+        ..ExperimentConfig::default()
+    };
+    let mut cells = Vec::new();
+    for (di, dataset) in datasets.iter().enumerate() {
+        for severity in [0.0, 0.5, 1.0] {
+            let cell = ExperimentCell {
+                dataset: di,
+                degradation: criterion.degradation(severity, dataset)?,
+                seed: SEED,
+            };
+            cells.push((severity, cell));
+        }
+    }
+    run_grid(&datasets, cells, &config)
+}
+
 /// A2 — kNN `k` under growing dimensionality.
 pub fn a2_knn_k_under_dimensionality() -> Result<Vec<ResultTable>> {
     let mut out = ResultTable::new(
@@ -72,29 +100,16 @@ pub fn a2_knn_k_under_dimensionality() -> Result<Vec<ResultTable>> {
         "ablation: kNN k vs irrelevant-attribute severity (accuracy)",
         &["dataset", "severity", "k", "accuracy"],
     );
-    let datasets = default_datasets(SEED);
-    let kb = SnapshotKnowledgeBase::default();
-    for dataset in &datasets {
-        for &severity in &[0.0, 0.5, 1.0] {
-            let degradation = Criterion::Dimensionality.degradation(severity, dataset)?;
-            for k in [1usize, 5, 15, 35] {
-                let config = ExperimentConfig {
-                    algorithms: vec![AlgorithmSpec::Knn { k }],
-                    severities: vec![],
-                    folds: 3,
-                    seed: SEED,
-                    parallel: false,
-                    workers: 0,
-                    ..ExperimentConfig::default()
-                };
-                let results = evaluate_variant(dataset, &degradation, &config, SEED, &kb)?;
-                out.push(vec![
-                    Cell::Str(dataset.name.clone()),
-                    severity.into(),
-                    k.into(),
-                    results[0].1.accuracy().into(),
-                ]);
-            }
+    let ks = [1usize, 5, 15, 35];
+    let algorithms = ks.iter().map(|&k| AlgorithmSpec::Knn { k }).collect();
+    for (severity, records) in severity_grid(Criterion::Dimensionality, algorithms)? {
+        for (&k, r) in ks.iter().zip(&records) {
+            out.push(vec![
+                Cell::Str(r.dataset.clone()),
+                severity.into(),
+                k.into(),
+                r.metrics.accuracy.into(),
+            ]);
         }
     }
     Ok(vec![out])
@@ -107,33 +122,23 @@ pub fn a3_tree_capacity_under_noise() -> Result<Vec<ResultTable>> {
         "ablation: tree depth × min_leaf vs label noise (accuracy)",
         &["dataset", "noise_sev", "max_depth", "min_leaf", "accuracy"],
     );
-    let datasets: Vec<ExperimentDataset> = default_datasets(SEED);
-    let kb = SnapshotKnowledgeBase::default();
-    for dataset in &datasets {
-        for &severity in &[0.0, 0.5, 1.0] {
-            let degradation = Criterion::LabelNoise.degradation(severity, dataset)?;
-            for (max_depth, min_leaf) in [(20usize, 1usize), (12, 2), (6, 5), (3, 10)] {
-                let config = ExperimentConfig {
-                    algorithms: vec![AlgorithmSpec::DecisionTree {
-                        max_depth,
-                        min_leaf,
-                    }],
-                    severities: vec![],
-                    folds: 3,
-                    seed: SEED,
-                    parallel: false,
-                    workers: 0,
-                    ..ExperimentConfig::default()
-                };
-                let results = evaluate_variant(dataset, &degradation, &config, SEED, &kb)?;
-                out.push(vec![
-                    Cell::Str(dataset.name.clone()),
-                    severity.into(),
-                    max_depth.into(),
-                    min_leaf.into(),
-                    results[0].1.accuracy().into(),
-                ]);
-            }
+    let capacities = [(20usize, 1usize), (12, 2), (6, 5), (3, 10)];
+    let algorithms = capacities
+        .iter()
+        .map(|&(max_depth, min_leaf)| AlgorithmSpec::DecisionTree {
+            max_depth,
+            min_leaf,
+        })
+        .collect();
+    for (severity, records) in severity_grid(Criterion::LabelNoise, algorithms)? {
+        for (&(max_depth, min_leaf), r) in capacities.iter().zip(&records) {
+            out.push(vec![
+                Cell::Str(r.dataset.clone()),
+                severity.into(),
+                max_depth.into(),
+                min_leaf.into(),
+                r.metrics.accuracy.into(),
+            ]);
         }
     }
     Ok(vec![out])

@@ -2,12 +2,12 @@
 //! DESIGN.md experiment index (E1–E12, F1, F2). Each returns one or more
 //! [`ResultTable`]s ready to print and export.
 
-use crate::harness::{default_datasets, fast_suite, severity_sweep, SEVERITIES};
+use crate::harness::{default_datasets, fast_suite, run_grid, severity_sweep, SEVERITIES};
 use crate::result_table::{Cell, ResultTable};
 use openbi::datagen::{
     high_dim_class, high_dim_lod, municipal_budget, scenario_to_lod, HighDimLodConfig,
 };
-use openbi::experiment::{evaluate_variant, Criterion, ExperimentConfig, ExperimentDataset};
+use openbi::experiment::{Criterion, ExperimentCell, ExperimentConfig, ExperimentDataset};
 use openbi::kb::{leave_one_dataset_out, Advisor, SnapshotKnowledgeBase};
 use openbi::lod::{tabularize, Iri, TabularizeOptions};
 use openbi::mining::eval::crossval::cross_validate;
@@ -24,7 +24,6 @@ const SEED: u64 = 42;
 /// E1 — completeness: accuracy vs MCAR/MAR missing-value ratio.
 pub fn e1_completeness() -> Result<Vec<ResultTable>> {
     let datasets = default_datasets(SEED);
-    let kb = SnapshotKnowledgeBase::default();
     let mcar = severity_sweep(
         "E1a",
         "accuracy vs MCAR missingness (ratio = 0.4×severity)",
@@ -34,7 +33,6 @@ pub fn e1_completeness() -> Result<Vec<ResultTable>> {
         &fast_suite(),
         FOLDS,
         SEED,
-        &kb,
     )?;
     let mar = severity_sweep(
         "E1b",
@@ -45,7 +43,6 @@ pub fn e1_completeness() -> Result<Vec<ResultTable>> {
         &fast_suite(),
         FOLDS,
         SEED + 1,
-        &kb,
     )?;
     Ok(vec![
         crate::harness::summarize_series(&mcar),
@@ -58,7 +55,6 @@ pub fn e1_completeness() -> Result<Vec<ResultTable>> {
 /// E2 — label noise: accuracy vs class-flip ratio.
 pub fn e2_label_noise() -> Result<Vec<ResultTable>> {
     let datasets = default_datasets(SEED);
-    let kb = SnapshotKnowledgeBase::default();
     let sweep = severity_sweep(
         "E2",
         "accuracy vs label noise (flip ratio = 0.35×severity)",
@@ -68,7 +64,6 @@ pub fn e2_label_noise() -> Result<Vec<ResultTable>> {
         &fast_suite(),
         FOLDS,
         SEED,
-        &kb,
     )?;
     Ok(vec![crate::harness::summarize_series(&sweep), sweep])
 }
@@ -76,7 +71,6 @@ pub fn e2_label_noise() -> Result<Vec<ResultTable>> {
 /// E3 — attribute noise: accuracy vs Gaussian perturbation.
 pub fn e3_attribute_noise() -> Result<Vec<ResultTable>> {
     let datasets = default_datasets(SEED);
-    let kb = SnapshotKnowledgeBase::default();
     let sweep = severity_sweep(
         "E3",
         "accuracy vs attribute noise (N(0,(2·std)²) on severity of cells)",
@@ -86,7 +80,6 @@ pub fn e3_attribute_noise() -> Result<Vec<ResultTable>> {
         &fast_suite(),
         FOLDS,
         SEED,
-        &kb,
     )?;
     Ok(vec![crate::harness::summarize_series(&sweep), sweep])
 }
@@ -102,7 +95,6 @@ pub fn e4_imbalance() -> Result<Vec<ResultTable>> {
         seed: SEED,
     });
     let datasets = vec![ExperimentDataset::new("blobs-overlap", table, "class")];
-    let kb = SnapshotKnowledgeBase::default();
     let sweep = severity_sweep(
         "E4",
         "accuracy & minority-F1 vs imbalance (majority = 50%+45%×severity)",
@@ -112,7 +104,6 @@ pub fn e4_imbalance() -> Result<Vec<ResultTable>> {
         &fast_suite(),
         FOLDS,
         SEED,
-        &kb,
     )?;
     Ok(vec![sweep])
 }
@@ -121,7 +112,6 @@ pub fn e4_imbalance() -> Result<Vec<ResultTable>> {
 /// paper's own "correct but not useful" example).
 pub fn e5_redundancy() -> Result<Vec<ResultTable>> {
     let datasets = default_datasets(SEED);
-    let kb = SnapshotKnowledgeBase::default();
     let sweep = severity_sweep(
         "E5",
         "accuracy & model size vs correlated attribute copies (1–4)",
@@ -131,7 +121,6 @@ pub fn e5_redundancy() -> Result<Vec<ResultTable>> {
         &fast_suite(),
         FOLDS,
         SEED,
-        &kb,
     )?;
     Ok(vec![sweep])
 }
@@ -152,32 +141,39 @@ pub fn e6_dimensionality() -> Result<Vec<ResultTable>> {
     );
     let datasets = default_datasets(SEED);
     let counts = [0usize, 8, 16, 32, 64, 128];
+    // One worker: `train_ms` is wall-clock, so no cell shares the CPU.
     let config = ExperimentConfig {
         algorithms: fast_suite(),
-        severities: vec![],
         folds: FOLDS,
         seed: SEED,
         parallel: false,
-        workers: 0,
         ..ExperimentConfig::default()
     };
-    let kb = SnapshotKnowledgeBase::default();
-    for dataset in &datasets {
+    let mut cells = Vec::new();
+    for dataset in 0..datasets.len() {
         for &count in &counts {
             let degradation = if count == 0 {
                 Degradation::new()
             } else {
                 Degradation::new().then(openbi::quality::IrrelevantInjector::gaussian(count))
             };
-            for (spec, eval) in evaluate_variant(dataset, &degradation, &config, SEED, &kb)? {
-                out.push(vec![
-                    Cell::Str(dataset.name.clone()),
-                    count.into(),
-                    Cell::Str(spec.to_string()),
-                    eval.accuracy().into(),
-                    eval.train_ms.into(),
-                ]);
-            }
+            let cell = ExperimentCell {
+                dataset,
+                degradation,
+                seed: SEED,
+            };
+            cells.push((count, cell));
+        }
+    }
+    for (count, records) in run_grid(&datasets, cells, &config)? {
+        for r in records {
+            out.push(vec![
+                Cell::Str(r.dataset),
+                count.into(),
+                Cell::Str(r.algorithm),
+                r.metrics.accuracy.into(),
+                r.metrics.train_ms.into(),
+            ]);
         }
     }
     // The same defect arising naturally from sparse LOD.
@@ -213,7 +209,6 @@ pub fn e6_dimensionality() -> Result<Vec<ResultTable>> {
 /// E7 — duplicates: accuracy vs duplicate ratio.
 pub fn e7_duplicates() -> Result<Vec<ResultTable>> {
     let datasets = default_datasets(SEED);
-    let kb = SnapshotKnowledgeBase::default();
     let sweep = severity_sweep(
         "E7",
         "accuracy vs near-duplicate ratio (0.45×severity of rows)",
@@ -223,7 +218,6 @@ pub fn e7_duplicates() -> Result<Vec<ResultTable>> {
         &fast_suite(),
         FOLDS,
         SEED,
-        &kb,
     )?;
     Ok(vec![crate::harness::summarize_series(&sweep), sweep])
 }
@@ -253,30 +247,35 @@ pub fn e8_mixed() -> Result<Vec<ResultTable>> {
                 min_leaf: 2,
             },
         ],
-        severities: vec![],
         folds: FOLDS,
         seed: SEED,
-        parallel: false,
-        workers: 0,
         ..ExperimentConfig::default()
     };
-    let kb = SnapshotKnowledgeBase::default();
-    for dataset in &datasets {
+    let mut cells = Vec::new();
+    for (di, dataset) in datasets.iter().enumerate() {
         for &ms in &grid {
             for &ns in &grid {
                 let mut degradation = Criterion::Completeness.degradation(ms, dataset)?;
                 degradation.extend(Criterion::LabelNoise.degradation(ns, dataset)?);
-                for (spec, eval) in evaluate_variant(dataset, &degradation, &config, SEED, &kb)? {
-                    out.push(vec![
-                        Cell::Str(dataset.name.clone()),
-                        ms.into(),
-                        ns.into(),
-                        Cell::Str(spec.to_string()),
-                        eval.accuracy().into(),
-                        eval.kappa().into(),
-                    ]);
-                }
+                let cell = ExperimentCell {
+                    dataset: di,
+                    degradation,
+                    seed: SEED,
+                };
+                cells.push(((ms, ns), cell));
             }
+        }
+    }
+    for ((ms, ns), records) in run_grid(&datasets, cells, &config)? {
+        for r in records {
+            out.push(vec![
+                Cell::Str(r.dataset),
+                ms.into(),
+                ns.into(),
+                Cell::Str(r.algorithm),
+                r.metrics.accuracy.into(),
+                r.metrics.kappa.into(),
+            ]);
         }
     }
     Ok(vec![out])

@@ -1,11 +1,14 @@
-//! Shared experiment harness: severity sweeps of one quality criterion
-//! across datasets and algorithms — the engine under experiments E1–E8.
+//! Shared experiment harness: the grid runner under experiments E1–E8,
+//! A2 and A3, and severity sweeps of one quality criterion across
+//! datasets and algorithms.
 
 use crate::result_table::{Cell, ResultTable};
-use openbi::experiment::{evaluate_variant, Criterion, ExperimentConfig, ExperimentDataset};
-use openbi::kb::SnapshotKnowledgeBase;
+use openbi::experiment::{
+    phase1_cells, run_cells, Criterion, ExperimentCell, ExperimentConfig, ExperimentDataset,
+};
+use openbi::kb::{ExperimentRecord, SnapshotKnowledgeBase};
 use openbi::mining::AlgorithmSpec;
-use openbi::Result;
+use openbi::{OpenBiError, Result};
 
 /// Default experiment datasets: the three clean reference generators.
 pub fn default_datasets(seed: u64) -> Vec<ExperimentDataset> {
@@ -18,10 +21,37 @@ pub fn default_datasets(seed: u64) -> Vec<ExperimentDataset> {
 /// Default severity grid for the sweeps.
 pub const SEVERITIES: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 1.0];
 
+/// Run labelled cells on the grid executor into a fresh store and pair
+/// each label with its cell's records (one per algorithm, in
+/// `config.algorithms` order), in grid order. The first failed cell
+/// fails the experiment.
+pub fn run_grid<L>(
+    datasets: &[ExperimentDataset],
+    cells: Vec<(L, ExperimentCell)>,
+    config: &ExperimentConfig,
+) -> Result<Vec<(L, Vec<ExperimentRecord>)>> {
+    let (labels, cells): (Vec<L>, Vec<ExperimentCell>) = cells.into_iter().unzip();
+    let kb = SnapshotKnowledgeBase::default();
+    let report = run_cells(datasets, cells, config, &kb)?;
+    if let Some(failure) = report.failures.first() {
+        return Err(OpenBiError::Config(format!(
+            "cell {} {:?} (seed {}) failed: {}",
+            failure.dataset, failure.degradations, failure.seed, failure.error
+        )));
+    }
+    kb.flush()?;
+    let snapshot = kb.snapshot();
+    // `max(1)`: with no algorithms there are no records to split.
+    let per_cell = snapshot.records().chunks(config.algorithms.len().max(1));
+    Ok(labels
+        .into_iter()
+        .zip(per_cell.map(<[_]>::to_vec))
+        .collect())
+}
+
 /// Run a one-criterion severity sweep and tabulate
 /// `(dataset, severity, algorithm, accuracy, macro_f1, minority_f1,
-/// kappa, model_size)` rows. Also fills `kb` if the caller wants the
-/// records.
+/// kappa, model_size)` rows.
 #[allow(clippy::too_many_arguments)] // experiment harness: each knob is load-bearing
 pub fn severity_sweep(
     id: &str,
@@ -32,7 +62,6 @@ pub fn severity_sweep(
     algorithms: &[AlgorithmSpec],
     folds: usize,
     seed: u64,
-    kb: &SnapshotKnowledgeBase,
 ) -> Result<ResultTable> {
     let mut table = ResultTable::new(
         id,
@@ -53,32 +82,23 @@ pub fn severity_sweep(
         severities: severities.to_vec(),
         folds,
         seed,
-        parallel: false,
-        workers: 0,
         ..ExperimentConfig::default()
     };
-    for dataset in datasets {
-        for (si, &severity) in severities.iter().enumerate() {
-            let degradation = criterion.degradation(severity, dataset)?;
-            let results = evaluate_variant(
-                dataset,
-                &degradation,
-                &config,
-                seed.wrapping_add(si as u64),
-                kb,
-            )?;
-            for (spec, eval) in results {
-                table.push(vec![
-                    Cell::Str(dataset.name.clone()),
-                    severity.into(),
-                    Cell::Str(spec.to_string()),
-                    eval.accuracy().into(),
-                    eval.macro_f1().into(),
-                    eval.minority_f1().into(),
-                    eval.kappa().into(),
-                    eval.model_size.into(),
-                ]);
-            }
+    // One criterion: cell `si` of each dataset has seed `seed + si`.
+    let cells = phase1_cells(datasets, &[criterion], &config)?;
+    let cells = severities.iter().copied().cycle().zip(cells).collect();
+    for (severity, records) in run_grid(datasets, cells, &config)? {
+        for r in records {
+            table.push(vec![
+                Cell::Str(r.dataset),
+                severity.into(),
+                Cell::Str(r.algorithm),
+                r.metrics.accuracy.into(),
+                r.metrics.macro_f1.into(),
+                r.metrics.minority_f1.into(),
+                r.metrics.kappa.into(),
+                r.metrics.model_size.into(),
+            ]);
         }
     }
     Ok(table)
@@ -155,7 +175,6 @@ mod tests {
             }),
             "class",
         );
-        let kb = SnapshotKnowledgeBase::default();
         let sweep = severity_sweep(
             "T1",
             "test sweep",
@@ -165,7 +184,6 @@ mod tests {
             &[AlgorithmSpec::NaiveBayes],
             3,
             1,
-            &kb,
         )
         .unwrap();
         assert_eq!(sweep.rows.len(), 2);
@@ -181,7 +199,6 @@ mod tests {
                 .unwrap()
         };
         assert!(acc_at(0.0) > acc_at(1.0) + 0.1, "label noise must hurt");
-        assert_eq!(kb.len(), 2);
         let series = summarize_series(&sweep);
         assert_eq!(series.rows.len(), 2);
     }

@@ -17,11 +17,14 @@
 //!
 //! [`run_cells`] runs one loop at every worker count: each worker
 //! claims the next cell index from a shared atomic cursor until the
-//! grid is exhausted. Workers buffer produced [`ExperimentRecord`]s
-//! locally and flush them to the store in chunks of `FLUSH_THRESHOLD`
-//! (64). A cell that errors or panics becomes a [`CellFailure`] in the
-//! [`GridReport`], listed in grid order, instead of tearing down the
-//! run; a panic outside a cell's containment makes the run an `Err`.
+//! grid is exhausted, and keeps each cell's outcome under its grid
+//! index. After the join the outcomes are sorted once and every
+//! [`ExperimentRecord`] is published with one `add_batch`, in grid
+//! order, so any worker count builds the same knowledge base, record
+//! for record. A cell that errors or panics becomes a [`CellFailure`]
+//! in the [`GridReport`], listed in grid order, instead of tearing down
+//! the run; a panic outside a cell's containment, or in the publish,
+//! makes the run an `Err`.
 //!
 //! ## Observability (DESIGN.md §9)
 //!
@@ -50,7 +53,7 @@
 use crate::error::{OpenBiError, Result};
 use openbi_kb::{ExperimentRecord, PerfMetrics, SnapshotKnowledgeBase};
 use openbi_mining::eval::crossval::cross_validate;
-use openbi_mining::{AlgorithmSpec, EvalResult, Instances};
+use openbi_mining::{AlgorithmSpec, Instances};
 use openbi_quality::inject::{
     AttributeNoiseInjector, CorrelatedInjector, Degradation, DuplicateInjector, ImbalanceInjector,
     InconsistencyInjector, IrrelevantInjector, LabelNoiseInjector, MissingInjector,
@@ -378,19 +381,16 @@ impl GridReport {
     }
 }
 
-/// One evaluated variant: its KB records and, per algorithm, the raw
-/// evaluation they were built from.
-type CellEvaluation = (Vec<ExperimentRecord>, Vec<(AlgorithmSpec, EvalResult)>);
-
-/// Evaluate one degraded variant without touching any store. The
-/// degraded table, its quality profile, and the `Table` → [`Instances`]
+/// Evaluate one degraded variant without touching any store: one
+/// record per algorithm, in `config.algorithms` order. The degraded
+/// table, its quality profile, and the `Table` → [`Instances`]
 /// conversion are built once and shared by every algorithm evaluation.
 fn evaluate_cell(
     dataset: &ExperimentDataset,
     degradation: &Degradation,
     config: &ExperimentConfig,
     seed: u64,
-) -> Result<CellEvaluation> {
+) -> Result<Vec<ExperimentRecord>> {
     let degraded = degradation.apply(&dataset.table, seed)?;
     let exclude: Vec<&str> = dataset.exclude.iter().map(String::as_str).collect();
     let profile = measure_profile_cached(
@@ -402,7 +402,6 @@ fn evaluate_cell(
     );
     let instances = Instances::from_table(&degraded, Some(&dataset.target), &exclude)?;
     let mut records = Vec::with_capacity(config.algorithms.len());
-    let mut evals = Vec::with_capacity(config.algorithms.len());
     for spec in &config.algorithms {
         let eval = cross_validate(&instances, spec, config.folds, seed)?;
         records.push(ExperimentRecord {
@@ -420,23 +419,8 @@ fn evaluate_cell(
             },
             seed,
         });
-        evals.push((spec.clone(), eval));
     }
-    Ok((records, evals))
-}
-
-/// Evaluate one degraded variant: returns the per-algorithm results and
-/// pushes records into the knowledge base.
-pub fn evaluate_variant(
-    dataset: &ExperimentDataset,
-    degradation: &Degradation,
-    config: &ExperimentConfig,
-    seed: u64,
-    kb: &SnapshotKnowledgeBase,
-) -> Result<Vec<(AlgorithmSpec, EvalResult)>> {
-    let (records, evals) = evaluate_cell(dataset, degradation, config, seed)?;
-    kb.add_batch(records);
-    Ok(evals)
+    Ok(records)
 }
 
 /// Flatten phase 1 ("simple" criteria) into cells: every dataset ×
@@ -503,11 +487,6 @@ pub fn phase2_cells(
     Ok(cells)
 }
 
-/// Records flushed to the store per worker batch. Large enough to
-/// amortize a publish, small enough that progress is visible to
-/// concurrent readers.
-const FLUSH_THRESHOLD: usize = 64;
-
 /// The executor's injection point: fires once per cell attempt, keyed
 /// by the cell's position-derived seed (worker-independent, so a plan
 /// selects the same cells at any worker count).
@@ -532,7 +511,7 @@ fn attempt_body(
     if let Some(plan) = plan {
         plan.fire(CELL_FAULT_POINT, seed, attempt)?;
     }
-    evaluate_cell(dataset, degradation, config, seed).map(|(records, _)| records)
+    evaluate_cell(dataset, degradation, config, seed)
 }
 
 /// Run one attempt inline with error and panic containment.
@@ -689,13 +668,12 @@ fn execute_cell(
     outcome
 }
 
-/// Pre-register the grid histograms that sample counts rather than
-/// latencies, so they get count-shaped buckets instead of the default
+/// Pre-register the grid histogram that samples counts rather than
+/// latencies, so it gets count-shaped buckets instead of the default
 /// second-shaped ones. No-op when no registry is installed.
 fn register_grid_histograms() {
     if let Some(registry) = obs::global() {
         registry.histogram_with("grid.injector_depth", obs::default_count_buckets());
-        registry.histogram_with("grid.flush.batch_records", obs::default_count_buckets());
     }
 }
 
@@ -709,13 +687,15 @@ pub(crate) fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// What one worker hands back through its join handle: its totals, the
-/// records it produced, and its failed cells keyed by grid index.
-type WorkerOutcome = (WorkerStats, usize, Vec<(usize, CellFailure)>);
+/// What one cell produced: its records, or why it was skipped.
+type CellOutcome = std::result::Result<Vec<ExperimentRecord>, CellFailure>;
+
+/// What one worker hands back through its join handle: its totals and
+/// the outcomes of the cells it ran, keyed by grid index.
+type WorkerOutcome = (WorkerStats, Vec<(usize, CellOutcome)>);
 
 /// One executor worker: claim cell indices from `cursor` until the grid
-/// is exhausted, run each cell, and flush records to `kb` every
-/// `FLUSH_THRESHOLD` records and once at the end.
+/// is exhausted and run each cell, keeping its outcome under its index.
 fn run_worker(
     worker: usize,
     datasets: &[ExperimentDataset],
@@ -723,19 +703,12 @@ fn run_worker(
     cursor: &AtomicUsize,
     config: &ExperimentConfig,
     plan: Option<&Arc<FaultPlan>>,
-    kb: &SnapshotKnowledgeBase,
 ) -> WorkerOutcome {
     let mut stats = WorkerStats {
         worker,
         ..WorkerStats::default()
     };
-    let mut records = 0;
-    let mut failures = Vec::new();
-    let mut batch: Vec<ExperimentRecord> = Vec::new();
-    let flush = |batch: Vec<ExperimentRecord>| {
-        obs::observe("grid.flush.batch_records", batch.len() as f64);
-        kb.add_batch(batch);
-    };
+    let mut outcomes = Vec::new();
     loop {
         let claim = Instant::now();
         // The cursor publishes no other data: cells are shared read-only.
@@ -747,30 +720,23 @@ fn run_worker(
             break;
         };
         obs::observe("grid.injector_depth", (cells.len() - index - 1) as f64);
-        match execute_cell(datasets, cell, config, plan, &mut stats) {
-            Ok(mut produced) => {
-                records += produced.len();
-                batch.append(&mut produced);
-            }
-            Err(failure) => failures.push((index, failure)),
-        }
-        if batch.len() >= FLUSH_THRESHOLD {
-            flush(std::mem::take(&mut batch));
-        }
+        outcomes.push((
+            index,
+            execute_cell(datasets, cell, config, plan, &mut stats),
+        ));
     }
-    if !batch.is_empty() {
-        flush(batch);
-    }
-    (stats, records, failures)
+    (stats, outcomes)
 }
 
 /// Execute a flat cell list on `effective_workers` scoped threads that
-/// claim cells from one atomic cursor. Workers batch records locally
-/// and flush them to `kb` in chunks of `FLUSH_THRESHOLD` records.
-/// Failed cells are collected in grid order, not fatal; a panic that
-/// escapes a worker (outside a cell's containment) makes the run an
-/// `Err` at every worker count. Records whose publish failed (an
-/// injected `kb.publish` fault, a refused write-ahead append) stay
+/// claim cells from one atomic cursor, then publish every record to
+/// `kb` with one `add_batch`, in grid order: any worker count builds
+/// the knowledge base one worker builds, record for record. Failed
+/// cells are collected in grid order, not fatal. A panic that escapes
+/// a worker (outside a cell's containment) makes the run an `Err` at
+/// every worker count and publishes nothing; a panic in the publish
+/// (an injected `kb.publish` or `kb.wal.append` panic) is an `Err`
+/// too. Records whose publish failed, by error or by panic, stay
 /// pending in `kb`; call [`SnapshotKnowledgeBase::flush`] to retry them
 /// and surface the error.
 pub fn run_cells(
@@ -788,7 +754,7 @@ pub fn run_cells(
         let handles: Vec<_> = (0..workers)
             .map(|worker| {
                 let (cells, cursor, plan) = (&cells, &cursor, plan.as_ref());
-                scope.spawn(move || run_worker(worker, datasets, cells, cursor, config, plan, kb))
+                scope.spawn(move || run_worker(worker, datasets, cells, cursor, config, plan))
             })
             .collect();
         handles.into_iter().map(|h| h.join()).collect()
@@ -797,21 +763,35 @@ pub fn run_cells(
         cells: cells.len(),
         ..GridReport::default()
     };
-    let mut failures = Vec::new();
+    let mut outcomes = Vec::with_capacity(cells.len());
     for outcome in joined {
-        let (stats, records, mut failed) = outcome.map_err(|panic| {
+        let (stats, mut ran) = outcome.map_err(|panic| {
             OpenBiError::Config(format!(
                 "experiment worker {}",
                 panic_message(panic.as_ref())
             ))
         })?;
-        report.records += records;
         report.worker_stats.push(stats);
-        failures.append(&mut failed);
+        outcomes.append(&mut ran);
     }
-    failures.sort_by_key(|(index, _)| *index);
-    report.failures = failures.into_iter().map(|(_, failure)| failure).collect();
+    outcomes.sort_by_key(|(index, _)| *index);
+    let mut records = Vec::new();
+    for (_, outcome) in outcomes {
+        match outcome {
+            Ok(mut produced) => records.append(&mut produced),
+            Err(failure) => report.failures.push(failure),
+        }
+    }
+    report.records = records.len();
     report.cells_succeeded = report.cells - report.failures.len();
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| kb.add_batch(records))).map_err(
+        |panic| {
+            OpenBiError::Config(format!(
+                "knowledge-base publish {}",
+                panic_message(panic.as_ref())
+            ))
+        },
+    )?;
     report.wall_seconds = run_start.elapsed().as_secs_f64();
     Ok(report)
 }
@@ -1227,8 +1207,7 @@ mod tests {
                 ..fast_config()
             };
             run_phase1_report(&datasets, &criteria, &config, &kb).unwrap();
-            let mut keys: Vec<String> = kb
-                .snapshot()
+            kb.snapshot()
                 .records()
                 .iter()
                 .map(|r| {
@@ -1243,9 +1222,7 @@ mod tests {
                         r.metrics.model_size
                     )
                 })
-                .collect();
-            keys.sort();
-            keys
+                .collect::<Vec<String>>()
         };
         let sequential = run(false, 1);
         assert_eq!(sequential, run(true, 1));
@@ -1281,9 +1258,9 @@ mod tests {
         assert_eq!(serial_kb.len(), parallel_kb.len());
     }
 
-    /// Worker count never changes the record set: a 4-worker run holds
-    /// the same records as the serial run (order-independent — parallel
-    /// arrival order depends on worker timing).
+    /// Worker count never changes the published records: a 4-worker
+    /// run publishes the serial run's records in the serial run's order,
+    /// as one generation.
     #[test]
     fn parallel_run_publishes_the_serial_record_set() {
         let datasets = vec![small_dataset()];
@@ -1300,20 +1277,18 @@ mod tests {
         };
         run_phase1_report(&datasets, &criteria, &config, &snapshot_store).unwrap();
         let generation = snapshot_store.flush().unwrap();
-        assert!(generation >= 1, "the grid must have published");
+        assert_eq!(generation, 1, "the grid publishes once");
         assert_eq!(snapshot_store.pending_len(), 0);
 
         let fingerprint = |records: &[ExperimentRecord]| -> Vec<String> {
-            let mut keys: Vec<String> = records
+            records
                 .iter()
                 .map(|r| {
                     let mut r = r.clone();
                     r.metrics.train_ms = 0.0;
                     serde_json::to_string(&r).unwrap()
                 })
-                .collect();
-            keys.sort();
-            keys
+                .collect()
         };
         assert_eq!(
             fingerprint(snapshot_store.pin().records()),

@@ -6,30 +6,7 @@
 //! per-column index-vector materialization as in the reference.
 
 use super::{pack_numeric, PackedColumn};
-use openbi_table::{stats, Column, Table};
-
-/// Row indices of cells outside the `k`×IQR fences of a numeric column.
-pub fn iqr_outliers(column: &Column, k: f64) -> Vec<usize> {
-    let values = column.to_f64_vec();
-    let mut non_null: Vec<f64> = values.iter().flatten().copied().collect();
-    if non_null.len() < 4 {
-        return vec![];
-    }
-    non_null.sort_by(f64::total_cmp);
-    let q1 = stats::quantile_sorted(&non_null, 0.25);
-    let q3 = stats::quantile_sorted(&non_null, 0.75);
-    let iqr = q3 - q1;
-    let lo = q1 - k * iqr;
-    let hi = q3 + k * iqr;
-    values
-        .iter()
-        .enumerate()
-        .filter_map(|(i, v)| match v {
-            Some(x) if *x < lo || *x > hi => Some(i),
-            _ => None,
-        })
-        .collect()
-}
+use openbi_table::{stats, Table};
 
 /// Fraction of numeric cells that are 1.5×IQR outliers, over the whole
 /// table (excluding the named columns).
@@ -69,17 +46,17 @@ pub(crate) fn ratio_from_packed(packed: &[PackedColumn]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn iqr_flags_extreme_point() {
-        let c = Column::from_f64("x", [1.0, 2.0, 3.0, 4.0, 5.0, 100.0]);
-        assert_eq!(iqr_outliers(&c, 1.5), vec![5]);
-    }
+    use openbi_table::Column;
 
     #[test]
     fn iqr_small_sample_returns_empty() {
-        let c = Column::from_f64("x", [1.0, 100.0]);
-        assert!(iqr_outliers(&c, 1.5).is_empty());
+        // `y` has 2 present cells: they count as cells, never as outliers.
+        let t = Table::new(vec![
+            Column::from_f64("x", [1.0, 2.0, 3.0, 4.0, 5.0, 100.0]),
+            Column::from_opt_f64("y", [Some(1.0), Some(100.0), None, None, None, None]),
+        ])
+        .unwrap();
+        assert!((outlier_ratio(&t, &[]) - 1.0 / 8.0).abs() < 1e-12);
     }
 
     #[test]
@@ -97,7 +74,8 @@ mod tests {
 
     #[test]
     fn nulls_are_ignored() {
-        let c = Column::from_opt_f64(
+        // A null and a NaN cell are both missing: 1 outlier in 5 cells.
+        let t = Table::new(vec![Column::from_opt_f64(
             "x",
             [
                 Some(1.0),
@@ -106,8 +84,10 @@ mod tests {
                 Some(4.0),
                 None,
                 Some(100.0),
+                Some(f64::NAN),
             ],
-        );
-        assert_eq!(iqr_outliers(&c, 1.5), vec![5]);
+        )])
+        .unwrap();
+        assert!((outlier_ratio(&t, &[]) - 1.0 / 5.0).abs() < 1e-12);
     }
 }

@@ -95,11 +95,10 @@ fn grid_config(seed: u64, workers: usize) -> ExperimentConfig {
     }
 }
 
-/// Serialize a KB into an order-independent, timing-free fingerprint
+/// Serialize a KB into a timing-free fingerprint, in store order
 /// (`train_ms` is the only wall-clock field in a record).
 fn kb_fingerprint(kb: &SnapshotKnowledgeBase) -> Vec<String> {
-    let mut keys: Vec<String> = kb
-        .snapshot()
+    kb.snapshot()
         .records()
         .iter()
         .map(|r| {
@@ -107,9 +106,7 @@ fn kb_fingerprint(kb: &SnapshotKnowledgeBase) -> Vec<String> {
             r.metrics.train_ms = 0.0;
             serde_json::to_string(&r).unwrap()
         })
-        .collect();
-    keys.sort();
-    keys
+        .collect()
 }
 
 fn run_grid_fingerprint(seed: u64, workers: usize) -> Vec<String> {

@@ -4,13 +4,15 @@
 //! predicts.
 
 use openbi::experiment::{
-    evaluate_variant, run_phase1_report, run_phase2_report, Criterion, ExperimentConfig,
+    run_cells, run_phase1_report, run_phase2_report, Criterion, ExperimentCell, ExperimentConfig,
     ExperimentDataset,
 };
 use openbi::kb::{
-    extract_rules, leave_one_dataset_out, Advisor, KnowledgeBase, SnapshotKnowledgeBase,
+    extract_rules, leave_one_dataset_out, Advice, Advisor, ExperimentRecord, KnowledgeBase,
+    SnapshotKnowledgeBase,
 };
 use openbi::mining::AlgorithmSpec;
+use openbi::quality::QualityProfile;
 use openbi_datagen::{make_blobs, BlobsConfig};
 
 fn dataset(seed: u64) -> ExperimentDataset {
@@ -114,10 +116,11 @@ fn full_protocol_builds_a_useful_kb() {
 }
 
 /// The cell-level executor's determinism guarantee: a seeded phase-1
-/// run yields the same knowledge-base records whether it runs
-/// sequentially, on one worker, or on eight. Cell seeds derive from the
-/// grid position (never the worker), so only record *order* and the
-/// wall-clock `train_ms` field may differ.
+/// run yields the same knowledge base whether it runs sequentially, on
+/// one worker, or on eight. Cell seeds derive from the grid position
+/// (never the worker) and the executor publishes in grid order, so only
+/// the wall-clock `train_ms` field may differ — and the advisor, which
+/// breaks distance ties by record position, gives the same advice.
 #[test]
 fn executor_is_deterministic_across_worker_counts() {
     let datasets = vec![dataset(1), dataset(2)];
@@ -134,25 +137,61 @@ fn executor_is_deterministic_across_worker_counts() {
             ..config()
         };
         run_phase1_report(&datasets, &criteria, &cfg, &kb).unwrap();
-        let mut keys: Vec<String> = kb
-            .snapshot()
-            .records()
+        kb.snapshot()
+    };
+    let keys = |kb: &KnowledgeBase| -> Vec<String> {
+        kb.records()
             .iter()
             .map(|r| {
                 let mut r = r.clone();
                 r.metrics.train_ms = 0.0; // wall-clock: the only timing field
                 serde_json::to_string(&r).unwrap()
             })
-            .collect();
-        keys.sort();
-        keys
+            .collect()
     };
     let sequential = run(false, 1);
-    let one_worker = run(true, 1);
-    let eight_workers = run(true, 8);
     assert_eq!(sequential.len(), 54);
-    assert_eq!(sequential, one_worker, "workers=1 must match sequential");
-    assert_eq!(sequential, eight_workers, "workers=8 must match sequential");
+    // Query with every cell's profile (3 algorithms per cell): a
+    // dataset's clean baseline recurs under every criterion, so those
+    // records tie on distance.
+    let profiles: Vec<QualityProfile> = sequential
+        .records()
+        .iter()
+        .step_by(3)
+        .map(|r| r.profile.clone())
+        .collect();
+    let advice = |kb: &KnowledgeBase| -> Vec<Advice> {
+        profiles
+            .iter()
+            .map(|p| Advisor::default().advise(kb, p).unwrap())
+            .collect()
+    };
+    for workers in [1, 8] {
+        let parallel = run(true, workers);
+        assert_eq!(
+            keys(&parallel),
+            keys(&sequential),
+            "workers={workers} must match sequential record for record"
+        );
+        assert_eq!(
+            advice(&parallel),
+            advice(&sequential),
+            "workers={workers} must give the sequential advice"
+        );
+    }
+}
+
+/// Run `cells` on `dataset` through the executor and return the
+/// records in grid order.
+fn run_grid(
+    dataset: &ExperimentDataset,
+    cells: Vec<ExperimentCell>,
+    config: &ExperimentConfig,
+) -> Vec<ExperimentRecord> {
+    let kb = SnapshotKnowledgeBase::default();
+    let report = run_cells(std::slice::from_ref(dataset), cells, config, &kb).unwrap();
+    assert!(report.failures.is_empty(), "{:?}", report.failures);
+    kb.snapshot().records().to_vec()
 }
 
 #[test]
@@ -170,7 +209,6 @@ fn imbalance_hurts_minority_f1_more_than_accuracy() {
         }),
         "class",
     );
-    let kb = SnapshotKnowledgeBase::default();
     let cfg = ExperimentConfig {
         algorithms: vec![AlgorithmSpec::DecisionTree {
             max_depth: 10,
@@ -178,31 +216,20 @@ fn imbalance_hurts_minority_f1_more_than_accuracy() {
         }],
         folds: 3,
         seed: 5,
-        parallel: false,
-        workers: 0,
-        severities: vec![],
         ..ExperimentConfig::default()
     };
-    let clean = evaluate_variant(
-        &d,
-        &Criterion::Imbalance.degradation(0.0, &d).unwrap(),
-        &cfg,
-        1,
-        &kb,
-    )
-    .unwrap();
-    let skewed = evaluate_variant(
-        &d,
-        &Criterion::Imbalance.degradation(1.0, &d).unwrap(),
-        &cfg,
-        1,
-        &kb,
-    )
-    .unwrap();
-    let (_, clean_eval) = &clean[0];
-    let (_, skew_eval) = &skewed[0];
-    let acc_drop = clean_eval.accuracy() - skew_eval.accuracy();
-    let f1_drop = clean_eval.minority_f1() - skew_eval.minority_f1();
+    let cells = [0.0, 1.0]
+        .iter()
+        .map(|&severity| ExperimentCell {
+            dataset: 0,
+            degradation: Criterion::Imbalance.degradation(severity, &d).unwrap(),
+            seed: 1,
+        })
+        .collect();
+    let records = run_grid(&d, cells, &cfg);
+    let (clean, skewed) = (&records[0].metrics, &records[1].metrics);
+    let acc_drop = clean.accuracy - skewed.accuracy;
+    let f1_drop = clean.minority_f1 - skewed.minority_f1;
     assert!(
         f1_drop > acc_drop + 0.02,
         "minority F1 must collapse faster: f1_drop {f1_drop} vs acc_drop {acc_drop}"
@@ -216,7 +243,6 @@ fn imbalance_hurts_minority_f1_more_than_accuracy() {
 #[test]
 fn dimensionality_hurts_knn_more_than_tree() {
     let d = dataset(9);
-    let kb = SnapshotKnowledgeBase::default();
     let cfg = ExperimentConfig {
         algorithms: vec![
             AlgorithmSpec::Knn { k: 5 },
@@ -227,24 +253,21 @@ fn dimensionality_hurts_knn_more_than_tree() {
         ],
         folds: 3,
         seed: 5,
-        parallel: false,
-        workers: 0,
-        severities: vec![],
         ..ExperimentConfig::default()
     };
-    let run = |severity: f64| {
-        evaluate_variant(
-            &d,
-            &Criterion::Dimensionality.degradation(severity, &d).unwrap(),
-            &cfg,
-            2,
-            &kb,
-        )
-        .unwrap()
+    let cells = [0.0, 1.0]
+        .iter()
+        .map(|&severity| ExperimentCell {
+            dataset: 0,
+            degradation: Criterion::Dimensionality.degradation(severity, &d).unwrap(),
+            seed: 2,
+        })
+        .collect();
+    // Grid order: [clean kNN, clean tree, wide kNN, wide tree].
+    let records = run_grid(&d, cells, &cfg);
+    let drop = |algo_idx: usize| {
+        records[algo_idx].metrics.accuracy - records[2 + algo_idx].metrics.accuracy
     };
-    let clean = run(0.0);
-    let wide = run(1.0);
-    let drop = |algo_idx: usize| clean[algo_idx].1.accuracy() - wide[algo_idx].1.accuracy();
     let knn_drop = drop(0);
     let tree_drop = drop(1);
     assert!(

@@ -81,21 +81,18 @@ fn config(seed: u64, workers: usize) -> ExperimentConfig {
     }
 }
 
-/// Serialize a KB into an order-independent, timing-free fingerprint
-/// (the executor-determinism pattern: `train_ms` is the only wall-clock
+/// Serialize a KB into a timing-free fingerprint, in store order (the
+/// executor-determinism pattern: `train_ms` is the only wall-clock
 /// field in a record).
 fn kb_fingerprint(kb: &openbi::kb::KnowledgeBase) -> Vec<String> {
-    let mut keys: Vec<String> = kb
-        .records()
+    kb.records()
         .iter()
         .map(|r| {
             let mut r = r.clone();
             r.metrics.train_ms = 0.0;
             serde_json::to_string(&r).unwrap()
         })
-        .collect();
-    keys.sort();
-    keys
+        .collect()
 }
 
 /// A plan that fails every cell's first attempt, plus two retries of

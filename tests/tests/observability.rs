@@ -52,10 +52,9 @@ fn grid_config(workers: usize) -> ExperimentConfig {
     }
 }
 
-/// Stable identity of every record a grid run produced.
+/// Stable identity of every record a grid run produced, in store order.
 fn record_keys(kb: &SnapshotKnowledgeBase) -> Vec<String> {
-    let mut keys: Vec<String> = kb
-        .snapshot()
+    kb.snapshot()
         .records()
         .iter()
         .map(|r| {
@@ -64,9 +63,7 @@ fn record_keys(kb: &SnapshotKnowledgeBase) -> Vec<String> {
                 r.dataset, r.degradations, r.algorithm, r.seed, r.metrics.accuracy, r.metrics.kappa
             )
         })
-        .collect();
-    keys.sort();
-    keys
+        .collect()
 }
 
 /// True iff `json` holds `"key":value` as a whole object member.
@@ -165,7 +162,10 @@ fn instrumentation_observes_all_layers_without_changing_results() {
         snap.histograms["grid.injector_depth"].count,
         total_cells as u64
     );
-    assert!(snap.histograms["grid.flush.batch_records"].count >= 3);
+    // One publish per grid run, holding all of its records.
+    let publishes = &snap.histograms["kb.publish.batch_records"];
+    assert_eq!(publishes.count, 3);
+    assert_eq!(publishes.sum, total_records as f64);
     assert_eq!(snap.histograms["grid.phase1.seconds"].count, 3);
     assert!(snap.histograms.contains_key("grid.queue_wait.seconds"));
 

@@ -326,11 +326,10 @@ fn grid_datasets() -> Vec<ExperimentDataset> {
         .collect()
 }
 
-/// Order-independent, timing-free KB fingerprint (`train_ms` is the only
+/// Timing-free KB fingerprint, in store order (`train_ms` is the only
 /// wall-clock field in a record).
 fn kb_fingerprint(kb: &SnapshotKnowledgeBase) -> Vec<String> {
-    let mut keys: Vec<String> = kb
-        .snapshot()
+    kb.snapshot()
         .records()
         .iter()
         .map(|r| {
@@ -338,9 +337,7 @@ fn kb_fingerprint(kb: &SnapshotKnowledgeBase) -> Vec<String> {
             r.metrics.train_ms = 0.0;
             serde_json::to_string(&r).unwrap()
         })
-        .collect();
-    keys.sort();
-    keys
+        .collect()
 }
 
 fn run_grid_fingerprint(workers: usize) -> Vec<String> {

@@ -6,7 +6,10 @@
 //! (one generation ⇔ one store size), and the final published contents
 //! must match a sequential run record-for-record.
 
-use openbi::experiment::{run_phase1_report, Criterion, ExperimentConfig, ExperimentDataset};
+use openbi::experiment::{
+    phase1_cells, run_cells, run_phase1_report, Criterion, ExperimentCell, ExperimentConfig,
+    ExperimentDataset,
+};
 use openbi::kb::{Advisor, AdvisorService, ExperimentRecord, KnowledgeBase, SnapshotKnowledgeBase};
 use openbi::mining::AlgorithmSpec;
 use openbi::quality::QualityProfile;
@@ -16,6 +19,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 const READERS: usize = 3;
+
+/// Cells per grid run: each run publishes one generation, so the grid
+/// runs in chunks to give the readers several publishes to race.
+const CHUNK: usize = 2;
 
 fn datasets() -> Vec<ExperimentDataset> {
     [1u64, 2]
@@ -64,31 +71,31 @@ fn seed_kb() -> KnowledgeBase {
     kb
 }
 
-/// Order-independent, timing-free record fingerprint (the chaos-suite
+/// Timing-free record fingerprint, in store order (the chaos-suite
 /// pattern: `train_ms` is the only wall-clock field).
 fn fingerprint(kb: &KnowledgeBase) -> Vec<String> {
-    let mut keys: Vec<String> = kb
-        .records()
+    kb.records()
         .iter()
         .map(|r| {
             let mut r = r.clone();
             r.metrics.train_ms = 0.0;
             serde_json::to_string(&r).unwrap()
         })
-        .collect();
-    keys.sort();
-    keys
+        .collect()
 }
 
-/// Readers hammer `AdvisorService::advise` while a 4-worker grid
-/// publishes into the store. Per reader: the generations of successive
-/// answers never go backwards. Across readers: a generation uniquely
-/// determines the store size, and sizes only grow with generations.
-/// Afterwards: the drained store matches a sequential single-worker run
-/// record-for-record.
+/// Readers hammer `AdvisorService::advise` while a multi-worker grid
+/// publishes into the store, one generation per contiguous chunk of
+/// `CHUNK` cells. Per reader: the generations of successive answers
+/// never go backwards. Across readers: a generation uniquely determines
+/// the store size, and sizes only grow with generations. Afterwards:
+/// the store holds one generation per chunk and matches a sequential
+/// single-worker run record for record, in order.
 #[test]
 fn readers_stay_consistent_while_the_grid_publishes() {
     let criteria = [Criterion::Completeness, Criterion::LabelNoise];
+    let datasets = datasets();
+    let grid = config(11, 4);
     let store = Arc::new(SnapshotKnowledgeBase::new(seed_kb()));
     store.flush().expect("seeding is fault-free");
     let seeded_generation = store.generation();
@@ -96,7 +103,7 @@ fn readers_stay_consistent_while_the_grid_publishes() {
     let profiles = vec![QualityProfile::default(); 4];
     let stop = AtomicBool::new(false);
 
-    let report = std::thread::scope(|s| {
+    let chunks = std::thread::scope(|s| {
         let readers: Vec<_> = (0..READERS)
             .map(|_| {
                 s.spawn(|| {
@@ -123,7 +130,19 @@ fn readers_stay_consistent_while_the_grid_publishes() {
                 })
             })
             .collect();
-        let report = run_phase1_report(&datasets(), &criteria, &config(11, 4), &store).unwrap();
+        let mut cells = phase1_cells(&datasets, &criteria, &grid)
+            .unwrap()
+            .into_iter();
+        let mut chunks = 0u64;
+        loop {
+            let chunk: Vec<ExperimentCell> = cells.by_ref().take(CHUNK).collect();
+            if chunk.is_empty() {
+                break;
+            }
+            let report = run_cells(&datasets, chunk, &grid, &store).unwrap();
+            assert!(report.failures.is_empty(), "{:?}", report.failures);
+            chunks += 1;
+        }
         stop.store(true, Ordering::Relaxed);
         let mut observations: Vec<(u64, usize)> = Vec::new();
         for r in readers {
@@ -149,22 +168,24 @@ fn readers_stay_consistent_while_the_grid_publishes() {
                 );
             }
         }
-        report
+        chunks
     });
-    assert!(report.failures.is_empty(), "{:?}", report.failures);
 
     store.flush().expect("drain is fault-free");
     assert_eq!(store.pending_len(), 0);
-    assert!(
-        store.generation() > seeded_generation,
-        "the grid must have published at least one generation"
+    // 2 datasets × 2 criteria × 2 severities = 8 cells.
+    assert_eq!(chunks, 4);
+    assert_eq!(
+        store.generation(),
+        seeded_generation + chunks,
+        "each grid run publishes one generation"
     );
 
     // Record-for-record equality with a sequential single-worker run
     // over the same seed records.
     let baseline = SnapshotKnowledgeBase::new(seed_kb());
     let baseline_report =
-        run_phase1_report(&datasets(), &criteria, &config(11, 1), &baseline).unwrap();
+        run_phase1_report(&datasets, &criteria, &config(11, 1), &baseline).unwrap();
     assert!(baseline_report.failures.is_empty());
     assert_eq!(
         fingerprint(&store.pin()),

@@ -64,31 +64,25 @@ fn record(i: usize) -> ExperimentRecord {
     r
 }
 
-/// Order-independent, bit-exact fingerprint.
+/// Bit-exact fingerprint, in store order.
 fn fingerprint(kb: &KnowledgeBase) -> Vec<String> {
-    let mut keys: Vec<String> = kb
-        .records()
+    kb.records()
         .iter()
         .map(|r| serde_json::to_string(r).unwrap())
-        .collect();
-    keys.sort();
-    keys
+        .collect()
 }
 
 /// Like [`fingerprint`], but timing-free (`train_ms` zeroed) — for
 /// comparing two *independent* grid runs.
 fn timing_free_fingerprint(kb: &KnowledgeBase) -> Vec<String> {
-    let mut keys: Vec<String> = kb
-        .records()
+    kb.records()
         .iter()
         .map(|r| {
             let mut r = r.clone();
             r.metrics.train_ms = 0.0;
             serde_json::to_string(&r).unwrap()
         })
-        .collect();
-    keys.sort();
-    keys
+        .collect()
 }
 
 fn only_segment(dir: &Path) -> PathBuf {
