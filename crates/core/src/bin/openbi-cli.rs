@@ -39,7 +39,10 @@
 //! every acknowledged batch is appended to a checksummed write-ahead
 //! log before it is served, and a final checkpoint compacts the log on
 //! clean exit. A batch the log refuses is never served: if the log
-//! still refuses it when the run ends, the command fails.
+//! still refuses it when the run ends, the command fails. A rerun on
+//! the same log resumes: it skips every cell whose records the log
+//! already holds, and of a partly recorded cell runs only the
+//! algorithms it lacks, so no record is logged twice.
 //!
 //! Every numeric flag is validated: a value that does not parse exits
 //! with status 2 and an `error: --<flag> must be …` line, never a
@@ -48,14 +51,18 @@
 //!
 //! [`MetricsSnapshot`]: openbi::obs::MetricsSnapshot
 
-use openbi::experiment::{run_phase1_report, Criterion, ExperimentConfig, ExperimentDataset};
+use openbi::experiment::{
+    phase1_cells, run_cells, Criterion, ExperimentCell, ExperimentConfig, ExperimentDataset,
+    GridReport,
+};
 use openbi::kb::{
-    Advisor, CheckpointReport, DurableOptions, FsyncPolicy, KnowledgeBase, RecoveryReport,
-    SnapshotKnowledgeBase,
+    Advisor, CheckpointReport, DurableOptions, ExperimentRecord, FsyncPolicy, KnowledgeBase,
+    RecoveryReport, SnapshotKnowledgeBase,
 };
 use openbi::pipeline::{run_pipeline, DataSource, PipelineConfig};
 use openbi::quality::{measure_profile, render_profile, MeasureOptions};
 use openbi::render_outcome;
+use std::collections::HashSet;
 use std::process::ExitCode;
 use std::str::FromStr;
 
@@ -379,6 +386,104 @@ fn open_store(wal: Option<&WalArgs>) -> Result<SnapshotKnowledgeBase, String> {
     Ok(store)
 }
 
+/// A record's key in the knowledge base: dataset, degradations, seed
+/// and algorithm. A rerun on the same `--wal-dir` logs no second record
+/// under one key.
+type RecordKey = (String, Vec<String>, u64, String);
+
+fn record_key(record: &ExperimentRecord) -> RecordKey {
+    (
+        record.dataset.clone(),
+        record.degradations.clone(),
+        record.seed,
+        record.algorithm.clone(),
+    )
+}
+
+/// What a rerun leaves out because the store already holds it.
+#[derive(Debug, Default, PartialEq)]
+struct Resumed {
+    /// Cells whose every record is held, so they do not run.
+    cells: usize,
+    /// Records of the grid that are held, so no cell produces them again.
+    records: usize,
+}
+
+/// Split the grid into runs that produce no record `held` already has:
+/// one run per set of algorithms still missing, each with `config`
+/// narrowed to those algorithms, in grid order of first appearance. On
+/// a fresh store that is one run of the whole grid. A cell missing no
+/// algorithm is left out. Every algorithm's evaluation of a cell is
+/// independent of the others, so a narrowed run yields the records the
+/// full cell would.
+fn resume_runs(
+    datasets: &[ExperimentDataset],
+    cells: Vec<ExperimentCell>,
+    config: &ExperimentConfig,
+    held: &HashSet<RecordKey>,
+) -> (Vec<(ExperimentConfig, Vec<ExperimentCell>)>, Resumed) {
+    let names: Vec<String> = config.algorithms.iter().map(|a| a.to_string()).collect();
+    let mut resumed = Resumed::default();
+    let mut runs: Vec<(Vec<bool>, Vec<ExperimentCell>)> = Vec::new();
+    for cell in cells {
+        let (dataset, degradations) = (&datasets[cell.dataset].name, cell.degradation.describe());
+        let missing: Vec<bool> = names
+            .iter()
+            .map(|name| {
+                !held.contains(&(
+                    dataset.clone(),
+                    degradations.clone(),
+                    cell.seed,
+                    name.clone(),
+                ))
+            })
+            .collect();
+        resumed.records += missing.iter().filter(|m| !**m).count();
+        if !missing.contains(&true) {
+            resumed.cells += 1;
+        } else if let Some((_, run)) = runs.iter_mut().find(|(m, _)| *m == missing) {
+            run.push(cell);
+        } else {
+            runs.push((missing, vec![cell]));
+        }
+    }
+    let runs = runs
+        .into_iter()
+        .map(|(missing, cells)| {
+            let mut narrowed = config.clone();
+            narrowed.algorithms = config
+                .algorithms
+                .iter()
+                .zip(&missing)
+                .filter(|(_, &m)| m)
+                .map(|(a, _)| a.clone())
+                .collect();
+            (narrowed, cells)
+        })
+        .collect();
+    (runs, resumed)
+}
+
+/// Run the grid's runs into `store`, one publish each, as one report.
+fn run_resumed(
+    datasets: &[ExperimentDataset],
+    runs: Vec<(ExperimentConfig, Vec<ExperimentCell>)>,
+    store: &SnapshotKnowledgeBase,
+) -> openbi::Result<GridReport> {
+    let _phase = openbi::obs::span("grid.phase1.seconds");
+    let mut report = GridReport::default();
+    for (config, cells) in runs {
+        let part = run_cells(datasets, cells, &config, store)?;
+        report.records += part.records;
+        report.cells += part.cells;
+        report.cells_succeeded += part.cells_succeeded;
+        report.failures.extend(part.failures);
+        report.wall_seconds += part.wall_seconds;
+        report.worker_stats.extend(part.worker_stats);
+    }
+    Ok(report)
+}
+
 fn cmd_experiments(args: &Args) -> ExitCode {
     let Some(out) = args.flag("out") else {
         return fail("experiments needs --out <kb.jsonl>");
@@ -453,10 +558,31 @@ fn cmd_experiments(args: &Args) -> ExitCode {
             ..Default::default()
         }
     };
+    let cells = match phase1_cells(&datasets, &Criterion::all(), &config) {
+        Ok(cells) => cells,
+        Err(e) => {
+            eprintln!("experiments failed: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let store = match open_store(wal.as_ref()) {
         Ok(store) => store,
         Err(e) => return fail(&e),
     };
+    let (recovered, held) = {
+        let kb = store.pin();
+        let held: HashSet<RecordKey> = kb.records().iter().map(record_key).collect();
+        (kb.len(), held)
+    };
+    let (runs, resumed) = resume_runs(&datasets, cells, &config, &held);
+    if let Some(wal) = &wal {
+        if resumed != Resumed::default() {
+            eprintln!(
+                "resuming {}: {} cell(s) skipped, {} record(s) of this grid already recorded",
+                wal.dir, resumed.cells, resumed.records
+            );
+        }
+    }
     let metrics = metrics_registry(args);
     eprintln!(
         "running phase 1 on {} datasets × {} criteria × {} severities ({} workers)…",
@@ -468,7 +594,7 @@ fn cmd_experiments(args: &Args) -> ExitCode {
     // Write-ahead: a batch the log refused is still pending, never
     // served, so a log that keeps refusing fails the run here instead
     // of saving an unlogged knowledge base.
-    let run = run_phase1_report(&datasets, &Criterion::all(), &config, &store).and_then(|report| {
+    let run = run_resumed(&datasets, runs, &store).and_then(|report| {
         store.flush().map_err(openbi::OpenBiError::Kb)?;
         if store.is_durable() {
             match store.checkpoint() {
@@ -504,8 +630,11 @@ fn cmd_experiments(args: &Args) -> ExitCode {
                 return ExitCode::FAILURE;
             }
             println!(
-                "{} experiment records written to {out} ({} cells, {} skipped, {} retries)",
+                "{} experiment records written to {out} ({} from this run, {} recovered; \
+                 {} cells, {} skipped, {} retries)",
+                final_kb.len(),
                 report.records,
+                recovered,
                 report.cells,
                 report.failures.len(),
                 report.total_retries()
@@ -860,6 +989,65 @@ mod tests {
             a.number::<usize>("folds", super::INTEGER),
             Err("--folds must be a non-negative integer, got no value".to_string())
         );
+    }
+
+    #[test]
+    fn resume_runs_skip_held_records_and_narrow_partly_recorded_cells() {
+        use openbi::experiment::{phase1_cells, Criterion, ExperimentConfig, ExperimentDataset};
+        use openbi::mining::AlgorithmSpec;
+        use std::collections::HashSet;
+        let datasets: Vec<ExperimentDataset> = openbi::datagen::reference_datasets(3)
+            .into_iter()
+            .map(|(name, table, target)| ExperimentDataset::new(name, table.head(20), target))
+            .collect();
+        let config = ExperimentConfig {
+            algorithms: vec![AlgorithmSpec::ZeroR, AlgorithmSpec::NaiveBayes],
+            severities: vec![0.0, 1.0],
+            ..Default::default()
+        };
+        let cells = || phase1_cells(&datasets, &Criterion::all(), &config).unwrap();
+        let key = |cell: &openbi::experiment::ExperimentCell, spec: &AlgorithmSpec| {
+            (
+                datasets[cell.dataset].name.clone(),
+                cell.degradation.describe(),
+                cell.seed,
+                spec.to_string(),
+            )
+        };
+        let n = cells().len();
+        let (runs, resumed) = super::resume_runs(&datasets, cells(), &config, &HashSet::new());
+        assert_eq!(resumed, super::Resumed::default());
+        assert_eq!(runs.len(), 1, "a fresh store runs the whole grid at once");
+        assert_eq!(runs[0].0.algorithms, config.algorithms);
+        assert_eq!(runs[0].1.len(), n);
+        // Cells 0–2 fully recorded, cell 5 recorded for ZeroR only.
+        let grid = cells();
+        let mut held = HashSet::new();
+        for cell in &grid[..3] {
+            for spec in &config.algorithms {
+                held.insert(key(cell, spec));
+            }
+        }
+        held.insert(key(&grid[5], &AlgorithmSpec::ZeroR));
+        let (runs, resumed) = super::resume_runs(&datasets, cells(), &config, &held);
+        assert_eq!(
+            resumed,
+            super::Resumed {
+                cells: 3,
+                records: 7
+            }
+        );
+        assert_eq!(runs.len(), 2);
+        assert_eq!(runs[0].0.algorithms, config.algorithms);
+        let seeds = |run: &[openbi::experiment::ExperimentCell]| {
+            run.iter().map(|c| (c.dataset, c.seed)).collect::<Vec<_>>()
+        };
+        assert_eq!(
+            seeds(&runs[0].1),
+            [seeds(&grid[3..5]), seeds(&grid[6..])].concat()
+        );
+        assert_eq!(runs[1].0.algorithms, vec![AlgorithmSpec::NaiveBayes]);
+        assert_eq!(seeds(&runs[1].1), vec![(grid[5].dataset, grid[5].seed)]);
     }
 
     #[test]

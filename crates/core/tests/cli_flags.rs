@@ -2,14 +2,22 @@
 //! a first stderr line naming the flag — never a silent fallback to the
 //! flag's default. Every case fails during argument validation, before
 //! any input file is read or any experiment runs.
+//!
+//! The last test reruns `experiments` on one `--wal-dir`: the rerun
+//! logs no record twice, and both runs report what they saved.
 
-use std::process::Command;
+use std::collections::HashSet;
+use std::process::{Command, Output};
 
-fn run(args: &[&str]) -> (Option<i32>, String) {
-    let output = Command::new(env!("CARGO_BIN_EXE_openbi-cli"))
+fn cli(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_openbi-cli"))
         .args(args)
         .output()
-        .expect("run openbi-cli");
+        .expect("run openbi-cli")
+}
+
+fn run(args: &[&str]) -> (Option<i32>, String) {
+    let output = cli(args);
     let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
     (output.status.code(), stderr)
 }
@@ -83,4 +91,79 @@ fn advise_rejects_malformed_tuning() {
     assert_rejected(&advise, "--neighbors", Some("many"));
     assert_rejected(&advise, "--bandwidth", Some("wide"));
     assert_rejected(&advise, "--bandwidth", Some("0"));
+}
+
+/// Run `args` to success and return its stdout and stderr.
+fn succeed(args: &[&str]) -> (String, String) {
+    let output = cli(args);
+    let [stdout, stderr] =
+        [&output.stdout, &output.stderr].map(|b| String::from_utf8_lossy(b).into_owned());
+    assert!(output.status.success(), "{args:?} failed: {stderr}");
+    (stdout, stderr)
+}
+
+#[test]
+fn experiments_rerun_on_a_wal_dir_logs_no_record_twice() {
+    let dir = std::env::temp_dir().join(format!("openbi-cli-resume-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let (wal, first, second, recovered) = (
+        path("wal"),
+        path("first.jsonl"),
+        path("second.jsonl"),
+        path("recovered.jsonl"),
+    );
+    let experiments = |out: &str| {
+        succeed(&[
+            "experiments",
+            "--out",
+            out,
+            "--rows",
+            "40",
+            "--folds",
+            "2",
+            "--seed",
+            "5",
+            "--workers",
+            "2",
+            "--wal-dir",
+            &wal,
+        ])
+    };
+    let (stdout, _) = experiments(&first);
+    assert_eq!(
+        stdout.trim(),
+        format!(
+            "360 experiment records written to {first} \
+             (360 from this run, 0 recovered; 90 cells, 0 skipped, 0 retries)"
+        )
+    );
+    let (stdout, stderr) = experiments(&second);
+    assert!(
+        stderr.contains("90 cell(s) skipped, 360 record(s) of this grid already recorded"),
+        "the rerun must say what it skipped: {stderr}"
+    );
+    assert_eq!(
+        stdout.trim(),
+        format!(
+            "360 experiment records written to {second} \
+             (0 from this run, 360 recovered; 0 cells, 0 skipped, 0 retries)"
+        )
+    );
+    let (stdout, _) = succeed(&["kb", "recover", "--wal-dir", &wal, "--out", &recovered]);
+    assert!(stdout.contains("360 record(s) recovered"), "{stdout}");
+    for out in [&second, &recovered] {
+        let kb = openbi::kb::KnowledgeBase::load(out).unwrap();
+        let keys: HashSet<_> = kb
+            .records()
+            .iter()
+            .map(|r| (&r.dataset, &r.degradations, r.seed, &r.algorithm))
+            .collect();
+        assert_eq!(
+            (kb.len(), keys.len()),
+            (360, 360),
+            "{out}: one record per key"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }

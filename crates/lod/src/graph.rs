@@ -1,12 +1,16 @@
 //! An in-memory RDF graph (triple store).
 //!
-//! Terms are interned to `u32` ids, and triples are kept in one sorted
-//! index in SPO order. A lookup with a bound subject is a range scan of
-//! that index; any other lookup is one filtered pass over it. Either way,
-//! results come back in SPO order.
+//! Each distinct term is stored once, in one shared allocation that both
+//! the id table and the lookup map refer to, and interned to a `u32` id.
+//! Triples are kept in one sorted index of ids in SPO order. A lookup
+//! with a bound subject is a range scan of that index; any other lookup
+//! is one filtered pass over it. Either way, results come back in SPO
+//! order. `publish_table`, `tabularize` and the serializers work on the
+//! ids through crate-private methods.
 
 use crate::term::{Iri, Term};
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// A single RDF triple.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -44,8 +48,8 @@ impl std::fmt::Display for Triple {
 /// A set of triples with term interning, indexed in SPO order.
 #[derive(Debug, Clone, Default)]
 pub struct Graph {
-    terms: Vec<Term>,
-    ids: HashMap<Term, u32>,
+    terms: Vec<Arc<Term>>,
+    ids: HashMap<Arc<Term>, u32>,
     spo: BTreeSet<(u32, u32, u32)>,
 }
 
@@ -70,22 +74,68 @@ impl Graph {
         self.terms.len()
     }
 
-    fn intern(&mut self, term: &Term) -> u32 {
-        if let Some(&id) = self.ids.get(term) {
+    /// The id of `term`, moving it in as a new term if it has none yet.
+    pub(crate) fn intern(&mut self, term: Term) -> u32 {
+        if let Some(&id) = self.ids.get(&term) {
             return id;
         }
+        self.intern_new(Arc::new(term))
+    }
+
+    /// The id of a term another graph stores, sharing its allocation.
+    fn intern_shared(&mut self, term: &Arc<Term>) -> u32 {
+        if let Some(&id) = self.ids.get(&**term) {
+            return id;
+        }
+        self.intern_new(Arc::clone(term))
+    }
+
+    fn intern_new(&mut self, term: Arc<Term>) -> u32 {
         let id = self.terms.len() as u32;
-        self.terms.push(term.clone());
-        self.ids.insert(term.clone(), id);
+        self.terms.push(Arc::clone(&term));
+        self.ids.insert(term, id);
         id
     }
 
-    fn lookup(&self, term: &Term) -> Option<u32> {
+    /// The id of `term`, if the graph has interned it.
+    pub(crate) fn lookup(&self, term: &Term) -> Option<u32> {
         self.ids.get(term).copied()
     }
 
-    fn term(&self, id: u32) -> &Term {
+    /// The term behind an id.
+    pub(crate) fn term(&self, id: u32) -> &Term {
         &self.terms[id as usize]
+    }
+
+    /// Insert a triple of interned ids; returns true if it was new.
+    fn insert_ids(&mut self, s: u32, p: u32, o: u32) -> bool {
+        self.spo.insert((s, p, o))
+    }
+
+    /// Insert many triples of interned ids: they are sorted and merged
+    /// into the index in one pass, not inserted one at a time.
+    pub(crate) fn extend_ids(&mut self, triples: Vec<(u32, u32, u32)>) {
+        let mut more: BTreeSet<(u32, u32, u32)> = triples.into_iter().collect();
+        self.spo.append(&mut more);
+    }
+
+    /// Every triple's ids, in SPO order.
+    pub(crate) fn spo_ids(&self) -> impl Iterator<Item = (u32, u32, u32)> + '_ {
+        self.spo.iter().copied()
+    }
+
+    /// The `(predicate, object)` ids of one subject, in PO order.
+    pub(crate) fn po_ids(&self, s: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.spo
+            .range((s, 0, 0)..=(s, u32::MAX, u32::MAX))
+            .map(|&(_, p, o)| (p, o))
+    }
+
+    /// Every triple's terms, borrowed, in SPO order.
+    pub(crate) fn triple_terms(&self) -> impl Iterator<Item = [&Term; 3]> + '_ {
+        self.spo
+            .iter()
+            .map(|&(s, p, o)| [self.term(s), self.term(p), self.term(o)])
     }
 
     fn triple(&self, &(s, p, o): &(u32, u32, u32)) -> Triple {
@@ -98,10 +148,15 @@ impl Graph {
 
     /// Insert a triple; returns true if it was not already present.
     pub fn insert(&mut self, triple: Triple) -> bool {
-        let s = self.intern(&triple.subject);
-        let p = self.intern(&triple.predicate);
-        let o = self.intern(&triple.object);
-        self.spo.insert((s, p, o))
+        let Triple {
+            subject,
+            predicate,
+            object,
+        } = triple;
+        let s = self.intern(subject);
+        let p = self.intern(predicate);
+        let o = self.intern(object);
+        self.insert_ids(s, p, o)
     }
 
     /// Convenience insert from parts.
@@ -193,10 +248,18 @@ impl Graph {
     }
 
     /// Merge all triples of `other` into `self`; returns how many were new.
+    /// Terms new to `self` share `other`'s allocations and get their ids
+    /// in `other`'s SPO order, as inserting its triples one by one would
+    /// give them.
     pub fn merge(&mut self, other: &Graph) -> usize {
+        let mut ids: Vec<Option<u32>> = vec![None; other.terms.len()];
         let mut added = 0;
-        for t in other.iter() {
-            if self.insert(t) {
+        for &(s, p, o) in &other.spo {
+            let [s, p, o] = [s, p, o].map(|id| {
+                *ids[id as usize]
+                    .get_or_insert_with(|| self.intern_shared(&other.terms[id as usize]))
+            });
+            if self.insert_ids(s, p, o) {
                 added += 1;
             }
         }

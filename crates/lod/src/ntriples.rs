@@ -193,8 +193,8 @@ pub fn parse_ntriples(text: &str) -> Result<Graph> {
 /// Serialize a graph as N-Triples (one triple per line, SPO order).
 pub fn write_ntriples(graph: &Graph) -> String {
     let mut out = String::new();
-    for t in graph.iter() {
-        let _ = writeln!(out, "{t}");
+    for [s, p, o] in graph.triple_terms() {
+        let _ = writeln!(out, "{s} {p} {o} .");
     }
     out
 }

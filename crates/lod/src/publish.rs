@@ -8,8 +8,8 @@
 use crate::error::Result;
 use crate::graph::Graph;
 use crate::term::{Iri, Literal, Term};
-use crate::vocab::{obi, rdf, rdfs};
-use openbi_table::{Table, Value};
+use crate::vocab::{obi, rdf, rdfs, xsd};
+use openbi_table::{ColumnData, Table};
 
 fn slugify(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -37,19 +37,47 @@ fn prop_slug(s: &str) -> String {
         .collect()
 }
 
-fn value_to_object(v: &Value) -> Option<Term> {
-    match v {
-        Value::Null => None,
-        Value::Int(i) => Some(Term::Literal(Literal::integer(*i))),
-        Value::Float(f) => Some(Term::Literal(Literal::double(*f))),
-        Value::Bool(b) => Some(Term::Literal(Literal::boolean(*b))),
-        Value::Str(s) => Some(Term::Literal(Literal::plain(s.clone()))),
+/// The datatype IRIs of `publish_table`'s typed literals, built once
+/// per call.
+struct Datatypes {
+    integer: Iri,
+    double: Iri,
+    boolean: Iri,
+}
+
+impl Datatypes {
+    fn new() -> Self {
+        Datatypes {
+            integer: xsd::integer(),
+            double: xsd::double(),
+            boolean: xsd::boolean(),
+        }
+    }
+
+    /// The literal of cell `row` of `data`; `None` for a null cell. The
+    /// same literal `Literal::{integer, double, boolean, plain}` makes of
+    /// the cell's value.
+    fn object(&self, data: &ColumnData, row: usize) -> Option<Term> {
+        let literal = match data {
+            ColumnData::Int(v) => Literal::typed(v[row]?.to_string(), self.integer.clone()),
+            ColumnData::Float(v) => Literal::typed(v[row]?.to_string(), self.double.clone()),
+            ColumnData::Bool(v) => Literal::typed(v[row]?.to_string(), self.boolean.clone()),
+            ColumnData::Str(v) => Literal::plain(v[row].clone()?),
+        };
+        Some(Term::Literal(literal))
     }
 }
 
 /// Publish a table as LOD: one `obi:Dataset` resource, one `obi:Column`
 /// resource per column, and one entity per row under `base_iri` with a
 /// predicate per column.
+///
+/// The row triples go in by id and are merged into the index at the
+/// end. `rdf:type` keeps the id the dataset triple gave it, the row
+/// class gets its id with the first row, and a column's predicate with
+/// its first non-null cell: the order inserting whole triples interned
+/// them in, so the ids, the SPO order and every serialized byte are
+/// those of a term-by-term build.
 pub fn publish_table(table: &Table, base_iri: &str, dataset_name: &str) -> Result<Graph> {
     let mut g = Graph::new();
     let base = base_iri.trim_end_matches('/');
@@ -70,7 +98,9 @@ pub fn publish_table(table: &Table, base_iri: &str, dataset_name: &str) -> Resul
         Term::Iri(obi::row_count()),
         Term::Literal(Literal::integer(table.n_rows() as i64)),
     );
-    let mut pred_iris = Vec::new();
+    // Each column's predicate, and its id once its first non-null cell
+    // has interned it.
+    let mut predicates: Vec<(Term, Option<u32>)> = Vec::new();
     for field in table.schema().fields() {
         let col_slug = prop_slug(&field.name);
         let col = Term::Iri(Iri::new(format!(
@@ -92,18 +122,28 @@ pub fn publish_table(table: &Table, base_iri: &str, dataset_name: &str) -> Resul
             Term::Literal(Literal::plain(field.dtype.to_string())),
         );
         g.add(ds.clone(), Term::Iri(obi::has_column()), col);
-        pred_iris.push(Term::Iri(Iri::new(format!("{base}/prop/{col_slug}"))?));
+        let predicate = Term::Iri(Iri::new(format!("{base}/prop/{col_slug}"))?);
+        predicates.push((predicate, None));
     }
     let row_class = Term::Iri(Iri::new(format!("{base}/dataset/{slug}/Row"))?);
-    for (ri, row) in table.iter_rows().enumerate() {
-        let entity = Term::Iri(Iri::new(format!("{base}/dataset/{slug}/row/{ri}"))?);
-        g.add(entity.clone(), Term::Iri(rdf::type_()), row_class.clone());
-        for (pred, v) in pred_iris.iter().zip(&row) {
-            if let Some(obj) = value_to_object(v) {
-                g.add(entity.clone(), pred.clone(), obj);
+    let (type_id, mut class_id) = (g.intern(Term::Iri(rdf::type_())), None);
+    let datatypes = Datatypes::new();
+    let mut rows = Vec::new();
+    for ri in 0..table.n_rows() {
+        let entity = g.intern(Term::Iri(Iri::new(format!(
+            "{base}/dataset/{slug}/row/{ri}"
+        ))?));
+        let class = *class_id.get_or_insert_with(|| g.intern(row_class.clone()));
+        rows.push((entity, type_id, class));
+        for (column, (predicate, id)) in table.columns().iter().zip(&mut predicates) {
+            if let Some(object) = datatypes.object(column.data(), ri) {
+                let p = *id.get_or_insert_with(|| g.intern(predicate.clone()));
+                let o = g.intern(object);
+                rows.push((entity, p, o));
             }
         }
     }
+    g.extend_ids(rows);
     Ok(g)
 }
 

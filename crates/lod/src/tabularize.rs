@@ -50,14 +50,13 @@ impl Default for TabularizeOptions {
     }
 }
 
-fn cell_from_terms(terms: &[Term], options: &TabularizeOptions) -> Value {
+/// The cell of one entity's `count` values of one property, `first`
+/// being the first of them in term order.
+fn cell_from_terms(first: &Term, count: usize, options: &TabularizeOptions) -> Value {
     match options.multi_value {
-        MultiValue::Count if terms.len() > 1 => return Value::Int(terms.len() as i64),
+        MultiValue::Count if count > 1 => return Value::Int(count as i64),
         _ => {}
     }
-    let Some(first) = terms.first() else {
-        return Value::Null;
-    };
     match first {
         Term::Literal(l) => {
             if let Some(dt) = &l.datatype {
@@ -127,36 +126,61 @@ fn coerce(values: Vec<Value>, dtype: DataType) -> Vec<Value> {
 /// `iri` column or an earlier column of the table, moves on to the next
 /// free suffix. Columns appear in first-encountered order; entities
 /// appear in the graph's subject order.
+///
+/// Works on term ids: one pass over the index finds the entities, and
+/// one range scan per entity groups its (predicate, object) ids into
+/// cells, since the index keeps one subject's objects of one predicate
+/// together.
 pub fn tabularize(graph: &Graph, class: &Iri, options: &TabularizeOptions) -> Result<Table> {
-    let entities = graph.subjects_of_type(class);
+    let type_id = graph.lookup(&Term::Iri(rdf::type_()));
+    let entities: Vec<u32> = match (type_id, graph.lookup(&Term::Iri(class.clone()))) {
+        (Some(type_id), Some(class_id)) => graph
+            .spo_ids()
+            .filter(|&(_, p, o)| p == type_id && o == class_id)
+            .map(|(s, _, _)| s)
+            .collect(),
+        _ => Vec::new(),
+    };
     if entities.is_empty() {
         return Err(LodError::Tabularize(format!(
             "no entities of type <{}>",
             class.as_str()
         )));
     }
-    let type_pred = Term::Iri(rdf::type_());
-    // Collect predicate order.
-    let mut predicates: Vec<Iri> = Vec::new();
-    for e in &entities {
-        for t in graph.match_pattern(Some(e), None, None) {
-            if options.skip_type && t.predicate == type_pred {
+    // Predicates in first-encountered order, each with its column of
+    // cells (null where an entity lacks it); `column_of` maps a
+    // predicate id to its index.
+    let mut predicates: Vec<(&Iri, Vec<Value>)> = Vec::new();
+    let mut column_of: HashMap<u32, usize> = HashMap::new();
+    for (row, &entity) in entities.iter().enumerate() {
+        let mut pairs = graph.po_ids(entity).peekable();
+        while let Some((p, o)) = pairs.next() {
+            let mut first = graph.term(o);
+            let mut count = 1;
+            while let Some((_, o)) = pairs.next_if(|&(next, _)| next == p) {
+                first = first.min(graph.term(o));
+                count += 1;
+            }
+            if options.skip_type && Some(p) == type_id {
                 continue;
             }
-            if let Term::Iri(p) = &t.predicate {
-                if !predicates.contains(p) {
-                    predicates.push(p.clone());
-                }
-            }
+            let Term::Iri(iri) = graph.term(p) else {
+                continue;
+            };
+            let column = *column_of.entry(p).or_insert_with(|| {
+                predicates.push((iri, vec![Value::Null; entities.len()]));
+                predicates.len() - 1
+            });
+            predicates[column].1[row] = cell_from_terms(first, count, options);
         }
     }
-    // Build cells.
+    // Build columns.
     let mut columns: Vec<Column> = Vec::new();
     let mut taken: HashSet<String> = HashSet::new();
     if options.include_iri {
         let iris: Vec<String> = entities
             .iter()
-            .map(|e| match e {
+            .map(|&e| match graph.term(e) {
                 Term::Iri(i) => i.as_str().to_string(),
                 Term::Blank(b) => format!("_:{b}"),
                 Term::Literal(_) => unreachable!("subjects are never literals"),
@@ -166,19 +190,10 @@ pub fn tabularize(graph: &Graph, class: &Iri, options: &TabularizeOptions) -> Re
         taken.insert("iri".to_string());
     }
     let mut repeats: HashMap<&str, usize> = HashMap::new();
-    for p in &predicates {
+    for (p, values) in predicates {
         let base = p.local_name();
         let repeat = repeats.entry(base).or_insert(0);
         *repeat += 1;
-        let pred_term = Term::Iri(p.clone());
-        let values: Vec<Value> = entities
-            .iter()
-            .map(|e| {
-                let mut terms = graph.objects(e, &pred_term);
-                terms.sort();
-                cell_from_terms(&terms, options)
-            })
-            .collect();
         // Drop columns that end up entirely null (e.g. object-valued
         // predicates with objects_as_local_names = false).
         if values.iter().all(Value::is_null) {

@@ -92,10 +92,8 @@ impl PrefixMap {
                 }
             }
         };
-        for t in graph.iter() {
-            mark(&t.subject);
-            mark(&t.predicate);
-            mark(&t.object);
+        for terms in graph.triple_terms() {
+            terms.into_iter().for_each(&mut mark);
         }
         used.sort();
         used
@@ -155,14 +153,14 @@ pub fn write_turtle(graph: &Graph, prefixes: &PrefixMap) -> String {
     // deterministic output).
     let mut by_subject: BTreeMap<String, BTreeMap<String, Vec<String>>> = BTreeMap::new();
     let type_pred = Term::Iri(vocab::rdf::type_());
-    for t in graph.iter() {
-        let s = render_term(&t.subject, prefixes);
-        let p = if t.predicate == type_pred {
+    for [subject, predicate, object] in graph.triple_terms() {
+        let s = render_term(subject, prefixes);
+        let p = if *predicate == type_pred {
             "a".to_string()
         } else {
-            render_term(&t.predicate, prefixes)
+            render_term(predicate, prefixes)
         };
-        let o = render_term(&t.object, prefixes);
+        let o = render_term(object, prefixes);
         by_subject
             .entry(s)
             .or_default()

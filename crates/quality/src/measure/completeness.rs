@@ -1,15 +1,24 @@
-//! Completeness: the fraction of non-null cells.
+//! Completeness: the fraction of present cells.
 
-use openbi_table::Table;
+use openbi_table::{ColumnData, Table};
 
-/// Overall completeness of a table: non-null cells / total cells.
-/// An empty table is trivially complete (1.0).
+/// Overall completeness of a table: present cells / total cells. A null
+/// cell is missing, and so is a NaN or ±∞ float cell, as in the mining
+/// and quality kernels. An empty table is trivially complete (1.0).
 pub fn completeness(table: &Table) -> f64 {
     let total = table.n_rows() * table.n_cols();
     if total == 0 {
         return 1.0;
     }
-    1.0 - table.total_null_count() as f64 / total as f64
+    let missing: usize = table
+        .columns()
+        .iter()
+        .map(|c| match c.data() {
+            ColumnData::Float(v) => v.iter().filter(|x| !x.is_some_and(f64::is_finite)).count(),
+            _ => c.null_count(),
+        })
+        .sum();
+    1.0 - missing as f64 / total as f64
 }
 
 #[cfg(test)]
@@ -31,6 +40,16 @@ mod tests {
         ])
         .unwrap();
         assert!((completeness(&t) - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn non_finite_cells_are_missing() {
+        let t = Table::new(vec![
+            Column::from_f64("a", [1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY]),
+            Column::from_opt_f64("b", [Some(2.0), None, Some(-0.0), Some(3.0)]),
+        ])
+        .unwrap();
+        assert_eq!(completeness(&t), 0.5);
     }
 
     #[test]

@@ -12,9 +12,12 @@ use std::panic::{self, AssertUnwindSafe};
 /// live here rather than in the product crates so that no shipping build
 /// compiles them; the live crates' public types are all they rely on.
 pub mod reference {
+    pub mod lod;
     pub mod mining;
     pub mod quality;
 }
+
+pub mod lod_corpora;
 
 /// A deterministic messy CSV fixture used by several integration tests.
 pub fn messy_csv() -> &'static str {

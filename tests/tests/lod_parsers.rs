@@ -15,9 +15,11 @@
 //! the whole suite, since these parsers sit on the untrusted-input
 //! boundary of the pipeline.
 
+use openbi_integration::lod_corpora::{
+    kitchen_sink, BLANK_LABEL_DOCUMENTS, HANDWRITTEN_NTRIPLES, HANDWRITTEN_TURTLE,
+};
 use openbi_lod::{
-    parse_ntriples, parse_turtle, write_ntriples, write_turtle, Graph, Iri, Literal, PrefixMap,
-    Term, Triple,
+    parse_ntriples, parse_turtle, write_ntriples, write_turtle, Graph, PrefixMap, Term, Triple,
 };
 
 /// The semantic content of a graph: its triples, in sorted order.
@@ -25,72 +27,6 @@ fn triples(g: &Graph) -> Vec<Triple> {
     let mut v: Vec<Triple> = g.iter().collect();
     v.sort();
     v
-}
-
-/// A graph exercising every term shape the model supports: IRIs, blank
-/// nodes, and plain / language-tagged / typed / numeric / boolean
-/// literals, including lexical forms that need every escape.
-fn kitchen_sink() -> Graph {
-    let mut g = Graph::new();
-    let s = Term::iri("http://data.example.org/dataset/air-quality");
-    let p = |n: &str| Term::iri(&format!("http://data.example.org/ns#{n}"));
-    g.add(
-        s.clone(),
-        p("label"),
-        Term::Literal(Literal::plain("PM10 readings")),
-    );
-    g.add(
-        s.clone(),
-        p("note"),
-        Term::Literal(Literal::plain(
-            "quote \" backslash \\ newline \n tab \t cr \r done",
-        )),
-    );
-    g.add(
-        s.clone(),
-        p("title"),
-        Term::Literal(Literal::lang("Luftqualität — München", "de")),
-    );
-    g.add(
-        s.clone(),
-        p("updated"),
-        Term::Literal(Literal::typed(
-            "2012-03-26",
-            Iri::new("http://www.w3.org/2001/XMLSchema#date").unwrap(),
-        )),
-    );
-    g.add(s.clone(), p("rows"), Term::Literal(Literal::integer(8_760)));
-    g.add(s.clone(), p("mean"), Term::Literal(Literal::double(27.5)));
-    g.add(s.clone(), p("open"), Term::Literal(Literal::boolean(true)));
-    // Valid but non-canonical lexical forms: no bare shorthand keeps them.
-    let xsd = |local: &str| Iri::new(format!("http://www.w3.org/2001/XMLSchema#{local}")).unwrap();
-    g.add(
-        s.clone(),
-        p("archived"),
-        Term::Literal(Literal::typed("1", xsd("boolean"))),
-    );
-    g.add(
-        s.clone(),
-        p("deprecated"),
-        Term::Literal(Literal::typed("0", xsd("boolean"))),
-    );
-    g.add(
-        s.clone(),
-        p("stations"),
-        Term::Literal(Literal::typed(" 7", xsd("integer"))),
-    );
-    g.add(s.clone(), p("station"), Term::Blank("st1".into()));
-    g.add(
-        Term::Blank("st1".into()),
-        p("label"),
-        Term::Literal(Literal::plain("Landshuter Allee")),
-    );
-    g.add(
-        s,
-        p("license"),
-        Term::iri("http://creativecommons.org/licenses/by/3.0/"),
-    );
-    g
 }
 
 #[test]
@@ -133,34 +69,8 @@ fn turtle_round_trip_preserves_the_triple_set() {
 
 #[test]
 fn handwritten_documents_stabilize_after_one_cycle() {
-    let turtle_doc = r#"
-@prefix ex: <http://ex.org/> .
-@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .
-
-ex:alice a ex:Person ;
-    ex:name "Alice" ;
-    ex:age 30 ;
-    ex:height 1.65 ;
-    ex:knows ex:bob, ex:carol .
-
-ex:bob ex:name "Bob"@en ;
-    ex:active true ;
-    ex:score "7"^^xsd:integer .
-_:obs ex:of ex:alice .
-_:a.b ex:of _:o.
-"#;
-    let ntriples_doc = "\
-# comment line, then a blank line
-
-<http://e.org/a> <http://e.org/p> <http://e.org/b> .
-<http://e.org/a>   <http://e.org/name>\t\"Al\\\"ice\\n\" .  # trailing comment
-<http://e.org/a> <http://e.org/age> \"30\"^^<http://www.w3.org/2001/XMLSchema#integer> .
-<http://e.org/a> <http://e.org/greet> \"hola\"@es .
-_:b0 <http://e.org/p> _:b1 .
-_:a.b <http://e.org/p> _:o.
-";
     // Turtle: parse → write → parse must stabilize.
-    let g1 = parse_turtle(turtle_doc).expect("valid document");
+    let g1 = parse_turtle(HANDWRITTEN_TURTLE).expect("valid document");
     let text1 = write_turtle(&g1, &PrefixMap::default());
     let g2 = parse_turtle(&text1).expect("round-tripped document");
     assert_eq!(triples(&g1), triples(&g2));
@@ -171,7 +81,7 @@ _:a.b <http://e.org/p> _:o.
 
     // N-Triples likewise; whitespace/comment layout normalizes away
     // but the triple set is untouched.
-    let g1 = parse_ntriples(ntriples_doc).expect("valid document");
+    let g1 = parse_ntriples(HANDWRITTEN_NTRIPLES).expect("valid document");
     let text1 = write_ntriples(&g1);
     let g2 = parse_ntriples(&text1).expect("round-tripped document");
     assert_eq!(triples(&g1), triples(&g2));
@@ -192,18 +102,10 @@ fn cross_format_round_trip_agrees() {
 /// a statement `.` right after one.
 #[test]
 fn both_readers_read_blank_labels_alike() {
-    for (doc, subject, object) in [
-        (
-            "_:a.b <http://p> <http://o> .",
-            Term::Blank("a.b".into()),
-            Term::iri("http://o"),
-        ),
-        (
-            "<http://s> <http://p> _:o.",
-            Term::iri("http://s"),
-            Term::Blank("o".into()),
-        ),
-    ] {
+    for (doc, (subject, object)) in BLANK_LABEL_DOCUMENTS.into_iter().zip([
+        (Term::Blank("a.b".into()), Term::iri("http://o")),
+        (Term::iri("http://s"), Term::Blank("o".into())),
+    ]) {
         let expect = vec![Triple::new(subject, Term::iri("http://p"), object)];
         for (format, got) in [
             ("turtle", parse_turtle(doc)),

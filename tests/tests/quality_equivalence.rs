@@ -33,6 +33,7 @@ use openbi_datagen::{make_blobs, BlobsConfig};
 use openbi_integration::null_nonfinite;
 use openbi_integration::reference::quality as reference;
 use openbi_quality::measure::balance::balance_report;
+use openbi_quality::measure::completeness::completeness;
 use openbi_quality::measure::consistency::format_signature;
 use openbi_quality::measure::correlation::correlation_report;
 use openbi_quality::measure::noise::{attribute_noise_estimate, label_noise_estimate};
@@ -1066,4 +1067,31 @@ fn ratio_matches_reference_with_nan_cells() {
     let live = outlier_ratio(&t, &[]);
     let frozen = reference::outliers::outlier_ratio(&null_nonfinite(&t), &[]);
     assert_eq!(live.to_bits(), frozen.to_bits());
+}
+
+/// A NaN or ±∞ cell is a missing cell to completeness too: on every
+/// noise corpus (NaN, ±∞ and mixed specials among them) the live ratio
+/// has the bits it has on the table with those cells null, and those
+/// are the frozen reference's bits on that table.
+#[test]
+fn completeness_counts_non_finite_cells_as_missing() {
+    let mut non_finite = 0;
+    for case in noise_cases() {
+        let nulled = null_nonfinite(&case.table);
+        non_finite += nulled.total_null_count() - case.table.total_null_count();
+        let live = completeness(&case.table);
+        assert_eq!(
+            bits(live),
+            bits(completeness(&nulled)),
+            "{}: non-finite cells must count like nulls",
+            case.name
+        );
+        assert_eq!(
+            bits(live),
+            bits(reference::completeness::completeness(&nulled)),
+            "{}: drifted from the reference on the nulled table",
+            case.name
+        );
+    }
+    assert!(non_finite > 0, "the corpora must hold non-finite cells");
 }
