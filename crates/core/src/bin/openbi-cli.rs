@@ -38,11 +38,16 @@
 //! log left by a previous (possibly crashed) run is recovered first,
 //! every acknowledged batch is appended to a checksummed write-ahead
 //! log before it is served, and a final checkpoint compacts the log on
-//! clean exit. A batch the log refuses is never served: if the log
-//! still refuses it when the run ends, the command fails. A rerun on
-//! the same log resumes: it skips every cell whose records the log
-//! already holds, and of a partly recorded cell runs only the
-//! algorithms it lacks, so no record is logged twice.
+//! clean exit when the run published or recovery replayed frames. A
+//! batch the log refuses is never served: if the log still refuses it
+//! when the run ends, the command fails. A rerun on the same log
+//! resumes: it skips every cell whose records the log already holds,
+//! and of a partly recorded cell runs only the algorithms it lacks, so
+//! no record is logged twice; a rerun with nothing left to run leaves
+//! the log untouched. The first run records its grid sizes (`--rows`
+//! and `--folds`) beside the log, because a record's resume key holds
+//! neither: a rerun at other sizes, or on a log with records but no
+//! recorded sizes, exits 2 before it writes anything.
 //!
 //! Every numeric flag is validated: a value that does not parse exits
 //! with status 2 and an `error: --<flag> must be …` line, never a
@@ -56,8 +61,8 @@ use openbi::experiment::{
     GridReport,
 };
 use openbi::kb::{
-    Advisor, CheckpointReport, DurableOptions, ExperimentRecord, FsyncPolicy, KnowledgeBase,
-    RecoveryReport, SnapshotKnowledgeBase,
+    recover, Advisor, CheckpointReport, DurableOptions, ExperimentRecord, FsyncPolicy,
+    KnowledgeBase, RecoveryReport, SnapshotKnowledgeBase,
 };
 use openbi::pipeline::{run_pipeline, DataSource, PipelineConfig};
 use openbi::quality::{measure_profile, render_profile, MeasureOptions};
@@ -149,8 +154,8 @@ USAGE:
                      [--wal-dir DIR]           (crash-durable write-ahead log)
                      [--fsync always|batch|never]  (log flush policy; default batch)
                      [--checkpoint-every N]    (auto-compact the log every N
-                                                published records; the log is
-                                                always checkpointed on exit)
+                                                published records; a run that
+                                                added frames checkpoints on exit)
 
   openbi-cli kb recover --wal-dir DIR [--out kb.jsonl]
                      [--metrics-out metrics.json]
@@ -370,19 +375,44 @@ impl GridFlags {
     }
 }
 
-/// Open the store the grid publishes into: in memory, or recovered from
-/// and logged to `--wal-dir`.
-fn open_store(wal: Option<&WalArgs>) -> Result<SnapshotKnowledgeBase, String> {
-    let Some(wal) = wal else {
-        return Ok(SnapshotKnowledgeBase::default());
-    };
+/// The file beside a `--wal-dir` log that records the grid sizes the
+/// log was built at. Segment and checkpoint listing ignore it.
+const GRID_SIZES_FILE: &str = "grid-sizes.txt";
+
+/// A grid's sizes in the flags that set them. A record's resume key
+/// holds neither. The suite (`--full` or not) is not a size: the key
+/// names each algorithm with its parameters and each degradation with
+/// its severity, so the compact suite's records are records of the
+/// full grid, and a `--full` rerun may resume a compact log.
+fn grid_sizes(rows: usize, folds: usize) -> String {
+    format!("--rows {rows} --folds {folds}")
+}
+
+/// The grid sizes recorded beside the log in `dir`, if any.
+fn recorded_grid_sizes(dir: &str) -> Result<Option<String>, String> {
+    let path = std::path::Path::new(dir).join(GRID_SIZES_FILE);
+    match std::fs::read_to_string(&path) {
+        Ok(text) => Ok(Some(text.trim().to_string())),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(format!("cannot read {}: {e}", path.display())),
+    }
+}
+
+/// Exit 2 with one `error:` line: the log cannot serve this grid.
+fn refuse(msg: &str) -> ExitCode {
+    eprintln!("error: {msg}");
+    ExitCode::from(2)
+}
+
+/// Open `--wal-dir` for writing: recover it again and log every publish
+/// from now on.
+fn open_durable_store(wal: &WalArgs) -> Result<SnapshotKnowledgeBase, String> {
     let mut options = DurableOptions::new(&wal.dir).fsync(wal.fsync);
     if let Some(every) = wal.checkpoint_every {
         options = options.checkpoint_every(every);
     }
-    let (store, recovery) = SnapshotKnowledgeBase::open_durable(options)
+    let (store, _) = SnapshotKnowledgeBase::open_durable(options)
         .map_err(|e| format!("cannot open write-ahead log {}: {e}", wal.dir))?;
-    print_recovery(&wal.dir, &recovery);
     Ok(store)
 }
 
@@ -503,6 +533,22 @@ fn cmd_experiments(args: &Args) -> ExitCode {
         Ok(flags) => flags,
         Err(e) => return fail(&e),
     };
+    // A log's records carry neither rows nor folds, so a log built at
+    // other sizes is refused before anything reads or writes it.
+    let sizes = grid_sizes(rows, folds);
+    let recorded = match wal.as_ref().map(|w| recorded_grid_sizes(&w.dir)) {
+        Some(Ok(recorded)) => recorded,
+        Some(Err(e)) => return fail(&e),
+        None => None,
+    };
+    if let (Some(wal), Some(recorded)) = (&wal, &recorded) {
+        if *recorded != sizes {
+            return refuse(&format!(
+                "{} holds a grid run at {recorded}; this run asks for {sizes}",
+                wal.dir
+            ));
+        }
+    }
     let fault_plan = match args.flag("fault-plan") {
         Some(path) => match openbi::faults::FaultPlan::from_file(path) {
             Ok(plan) => {
@@ -565,15 +611,36 @@ fn cmd_experiments(args: &Args) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let store = match open_store(wal.as_ref()) {
-        Ok(store) => store,
-        Err(e) => return fail(&e),
+    // Read what the log holds; it is opened for writing below only if
+    // this run has frames to add or to checkpoint.
+    let (recovered_kb, replayed) = match &wal {
+        Some(wal) => match recover(&wal.dir) {
+            Ok((kb, report)) => {
+                print_recovery(&wal.dir, &report);
+                (kb, report.frames_replayed)
+            }
+            Err(e) => return fail(&format!("cannot open write-ahead log {}: {e}", wal.dir)),
+        },
+        None => (KnowledgeBase::new(), 0),
     };
-    let (recovered, held) = {
-        let kb = store.pin();
-        let held: HashSet<RecordKey> = kb.records().iter().map(record_key).collect();
-        (kb.len(), held)
-    };
+    if let (Some(wal), None) = (&wal, &recorded) {
+        if !recovered_kb.is_empty() {
+            return refuse(&format!(
+                "{} holds {} record(s) but no recorded grid sizes; \
+                 this run asks for {sizes}",
+                wal.dir,
+                recovered_kb.len()
+            ));
+        }
+        let path = std::path::Path::new(&wal.dir).join(GRID_SIZES_FILE);
+        let written = std::fs::create_dir_all(&wal.dir)
+            .and_then(|()| std::fs::write(&path, format!("{sizes}\n")));
+        if let Err(e) = written {
+            return fail(&format!("cannot write {}: {e}", path.display()));
+        }
+    }
+    let recovered = recovered_kb.len();
+    let held: HashSet<RecordKey> = recovered_kb.records().iter().map(record_key).collect();
     let (runs, resumed) = resume_runs(&datasets, cells, &config, &held);
     if let Some(wal) = &wal {
         if resumed != Resumed::default() {
@@ -583,6 +650,16 @@ fn cmd_experiments(args: &Args) -> ExitCode {
             );
         }
     }
+    // A rerun with nothing to run, on a log whose newest checkpoint
+    // covers every frame, leaves the log as it is: no new segment and no
+    // checkpoint.
+    let store = match &wal {
+        Some(wal) if !runs.is_empty() || replayed > 0 => match open_durable_store(wal) {
+            Ok(store) => store,
+            Err(e) => return fail(&e),
+        },
+        _ => SnapshotKnowledgeBase::new(recovered_kb),
+    };
     let metrics = metrics_registry(args);
     eprintln!(
         "running phase 1 on {} datasets × {} criteria × {} severities ({} workers)…",
@@ -597,10 +674,14 @@ fn cmd_experiments(args: &Args) -> ExitCode {
     let run = run_resumed(&datasets, runs, &store).and_then(|report| {
         store.flush().map_err(openbi::OpenBiError::Kb)?;
         if store.is_durable() {
-            match store.checkpoint() {
-                Ok(Some(checkpoint)) => print_checkpoint(&checkpoint),
-                Ok(None) => {}
-                Err(e) => eprintln!("warning: final checkpoint failed: {e}"),
+            // Only frames this run published or recovery replayed are
+            // outside the newest checkpoint.
+            if store.generation() > 0 || replayed > 0 {
+                match store.checkpoint() {
+                    Ok(Some(checkpoint)) => print_checkpoint(&checkpoint),
+                    Ok(None) => {}
+                    Err(e) => eprintln!("warning: final checkpoint failed: {e}"),
+                }
             }
             if store.durability_degraded() {
                 eprintln!(

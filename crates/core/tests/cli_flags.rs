@@ -4,7 +4,9 @@
 //! any input file is read or any experiment runs.
 //!
 //! The last test reruns `experiments` on one `--wal-dir`: the rerun
-//! logs no record twice, and both runs report what they saved.
+//! logs no record twice and leaves the log untouched, both runs report
+//! what they saved, and a rerun at other grid sizes, or on a log whose
+//! sizes were not recorded, is refused without writing anything.
 
 use std::collections::HashSet;
 use std::process::{Command, Output};
@@ -102,6 +104,27 @@ fn succeed(args: &[&str]) -> (String, String) {
     (stdout, stderr)
 }
 
+/// Run `args`, expect exit status 2 and return its stderr.
+fn refused(args: &[&str]) -> String {
+    let (code, stderr) = run(args);
+    assert_eq!(code, Some(2), "{args:?} must exit 2, stderr: {stderr}");
+    stderr
+}
+
+/// Every file in `dir` by name, with its bytes.
+fn wal_files(dir: &str) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let entry = entry.unwrap();
+            let name = entry.file_name().to_string_lossy().into_owned();
+            (name, std::fs::read(entry.path()).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
 #[test]
 fn experiments_rerun_on_a_wal_dir_logs_no_record_twice() {
     let dir = std::env::temp_dir().join(format!("openbi-cli-resume-{}", std::process::id()));
@@ -113,24 +136,34 @@ fn experiments_rerun_on_a_wal_dir_logs_no_record_twice() {
         path("second.jsonl"),
         path("recovered.jsonl"),
     );
-    let experiments = |out: &str| {
-        succeed(&[
+    let args = |out: &str, rows: &str, folds: &str| -> Vec<String> {
+        [
             "experiments",
             "--out",
-            out,
+            &path(out),
             "--rows",
-            "40",
+            rows,
             "--folds",
-            "2",
+            folds,
             "--seed",
             "5",
             "--workers",
             "2",
             "--wal-dir",
             &wal,
-        ])
+        ]
+        .map(String::from)
+        .to_vec()
     };
-    let (stdout, _) = experiments(&first);
+    let experiments = |out: &str, rows: &str, folds: &str| {
+        let args = args(out, rows, folds);
+        succeed(&args.iter().map(String::as_str).collect::<Vec<_>>())
+    };
+    let refuse = |out: &str, rows: &str, folds: &str| {
+        let args = args(out, rows, folds);
+        refused(&args.iter().map(String::as_str).collect::<Vec<_>>())
+    };
+    let (stdout, stderr) = experiments("first.jsonl", "40", "2");
     assert_eq!(
         stdout.trim(),
         format!(
@@ -138,7 +171,9 @@ fn experiments_rerun_on_a_wal_dir_logs_no_record_twice() {
              (360 from this run, 0 recovered; 90 cells, 0 skipped, 0 retries)"
         )
     );
-    let (stdout, stderr) = experiments(&second);
+    assert!(stderr.contains("\ncheckpoint "), "{stderr}");
+    let logged = wal_files(&wal);
+    let (stdout, stderr) = experiments("second.jsonl", "40", "2");
     assert!(
         stderr.contains("90 cell(s) skipped, 360 record(s) of this grid already recorded"),
         "the rerun must say what it skipped: {stderr}"
@@ -150,6 +185,50 @@ fn experiments_rerun_on_a_wal_dir_logs_no_record_twice() {
              (0 from this run, 360 recovered; 0 cells, 0 skipped, 0 retries)"
         )
     );
+    assert!(
+        !stderr.lines().any(|l| l.starts_with("checkpoint")),
+        "a rerun that published nothing must not checkpoint: {stderr}"
+    );
+    assert!(
+        wal_files(&wal) == logged,
+        "a rerun that published nothing must leave the log as it was"
+    );
+
+    // Other sizes: refused with one line naming both, nothing written.
+    let stderr = refuse("third.jsonl", "25", "3");
+    assert_eq!(
+        stderr.trim(),
+        format!(
+            "error: {wal} holds a grid run at --rows 40 --folds 2; \
+             this run asks for --rows 25 --folds 3"
+        )
+    );
+    assert!(!dir.join("third.jsonl").exists());
+    assert!(
+        wal_files(&wal) == logged,
+        "a refused run must not touch the log"
+    );
+
+    // Records but no recorded sizes: refused, nothing written.
+    let sizes = dir.join("wal").join("grid-sizes.txt");
+    let recorded = std::fs::read(&sizes).unwrap();
+    std::fs::remove_file(&sizes).unwrap();
+    let stderr = refuse("fourth.jsonl", "40", "2");
+    assert!(
+        stderr
+            .lines()
+            .last()
+            .unwrap_or_default()
+            .starts_with(&format!(
+                "error: {wal} holds 360 record(s) but no recorded grid sizes"
+            )),
+        "{stderr}"
+    );
+    assert!(!dir.join("fourth.jsonl").exists());
+    assert!(!sizes.exists(), "a refused run must not record sizes");
+    std::fs::write(&sizes, recorded).unwrap();
+    assert!(wal_files(&wal) == logged);
+
     let (stdout, _) = succeed(&["kb", "recover", "--wal-dir", &wal, "--out", &recovered]);
     assert!(stdout.contains("360 record(s) recovered"), "{stdout}");
     for out in [&second, &recovered] {

@@ -119,21 +119,23 @@ pub fn measure_profile(table: &Table, options: &MeasureOptions) -> QualityProfil
         .count();
     let packed = pack_numeric(table, &ex);
     let corr = correlation::report_from_packed(&packed, REDUNDANCY_THRESHOLD);
-    let (class_balance, minority_ratio, distinct_class_count, label_noise) = match &options.target {
-        Some(t) if table.has_column(t) => {
+    let target = options.target.as_deref().filter(|t| table.has_column(t));
+    let (class_balance, minority_ratio, distinct_class_count) = match target {
+        Some(t) => {
             let b = balance::balance_report(table, t).expect("column exists");
-            let noise = noise::label_noise_from_packed(
-                table,
-                t,
-                &packed,
-                NOISE_K,
-                noise::DEFAULT_MAX_ROWS,
-                DEFAULT_NOISE_SEED,
-            );
-            (b.normalized_entropy, b.minority_ratio, b.class_count, noise)
+            (b.normalized_entropy, b.minority_ratio, b.class_count)
         }
-        _ => (1.0, 1.0, 0, 0.0),
+        None => (1.0, 1.0, 0),
     };
+    let noise = noise::noise_estimates(
+        table,
+        target,
+        true,
+        &packed,
+        NOISE_K,
+        noise::DEFAULT_MAX_ROWS,
+        DEFAULT_NOISE_SEED,
+    );
     QualityProfile {
         n_rows: table.n_rows(),
         n_attributes,
@@ -149,14 +151,8 @@ pub fn measure_profile(table: &Table, options: &MeasureOptions) -> QualityProfil
             (n_attributes as f64 / table.n_rows() as f64).min(1.0)
         },
         outlier_ratio: outliers::ratio_from_packed(&packed),
-        label_noise_estimate: label_noise,
-        attr_noise_estimate: noise::attribute_noise_from_packed(
-            table,
-            &packed,
-            NOISE_K,
-            noise::DEFAULT_MAX_ROWS,
-            DEFAULT_NOISE_SEED,
-        ),
+        label_noise_estimate: noise.label,
+        attr_noise_estimate: noise.attribute,
         consistency: consistency::table_consistency(table, &ex),
         distinct_class_count,
     }

@@ -4,6 +4,8 @@
 //! [`reference`](mod@reference) oracles the differential suites compare
 //! the live kernels against.
 
+use openbi::experiment::{Criterion, ExperimentDataset};
+use openbi_datagen::{all_scenarios, Scenario};
 use openbi_table::{Column, ColumnData, Rng, Table};
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
@@ -71,4 +73,46 @@ pub fn check_cases(cases: u64, mut property: impl FnMut(&mut Rng)) {
 /// A length drawn uniformly from the non-empty `range`.
 pub fn len_in(rng: &mut Rng, range: Range<usize>) -> usize {
     range.start + rng.below(range.end - range.start)
+}
+
+/// The defect each `pipeline_mix` input variant carries, in variant
+/// order: clean, then one defect each (the benchmark's
+/// `VARIANT_DEFECTS`).
+const VARIANT_DEFECTS: [Option<Criterion>; 8] = [
+    None,
+    Some(Criterion::Completeness),
+    Some(Criterion::LabelNoise),
+    Some(Criterion::Duplicates),
+    Some(Criterion::Outliers),
+    Some(Criterion::Imbalance),
+    Some(Criterion::Inconsistency),
+    Some(Criterion::AttributeNoise),
+];
+
+/// The 24 scenarios `pipeline_mix` builds at `seed`, variant by variant:
+/// the three `all_scenarios` at 400 rows, each with its variant's defect
+/// applied at severity 0.5 and the seed the benchmark gives that
+/// variant's CSV input (`seed + 9·variant + scenario`).
+pub fn pipeline_mix_scenarios(seed: u64) -> Vec<Scenario> {
+    let mut out = Vec::new();
+    for (v, defect) in VARIANT_DEFECTS.iter().enumerate() {
+        let by_scenario = all_scenarios(400, seed.wrapping_add(1000 * v as u64));
+        for (s, mut scenario) in by_scenario.into_iter().enumerate() {
+            if let Some(defect) = defect {
+                let mut dataset = ExperimentDataset::new(
+                    &scenario.name,
+                    scenario.table.clone(),
+                    &scenario.target,
+                );
+                dataset.exclude = scenario.id_columns.clone();
+                scenario.table = defect
+                    .degradation(0.5, &dataset)
+                    .unwrap()
+                    .apply(&scenario.table, seed.wrapping_add((9 * v + s) as u64))
+                    .unwrap();
+            }
+            out.push(scenario);
+        }
+    }
+    out
 }

@@ -22,13 +22,12 @@
 //! scenarios and for every valid `lod_parsers` document. They hold the
 //! `Graph` and serializer changes themselves to the old output.
 
-use openbi::experiment::{Criterion, ExperimentDataset};
-use openbi_datagen::{all_scenarios, scenario_to_lod, Scenario};
+use openbi_datagen::{scenario_to_lod, Scenario};
 use openbi_integration::lod_corpora::{
     kitchen_sink, BLANK_LABEL_DOCUMENTS, HANDWRITTEN_NTRIPLES, HANDWRITTEN_TURTLE,
 };
 use openbi_integration::reference::lod as reference;
-use openbi_integration::{check_cases, len_in};
+use openbi_integration::{check_cases, len_in, pipeline_mix_scenarios};
 use openbi_lod::vocab::{rdf, xsd};
 use openbi_lod::{
     parse_ntriples, parse_turtle, publish_table, tabularize, write_ntriples, write_turtle, Graph,
@@ -38,48 +37,21 @@ use openbi_table::{Column, Rng, Table};
 
 const BASE_IRI: &str = "http://openbi.org";
 const SEEDS: [u64; 2] = [2012, 7];
-const ROWS: usize = 400;
-/// The `pipeline_mix` input variants: clean, then one defect each.
-const VARIANT_DEFECTS: [Option<Criterion>; 8] = [
-    None,
-    Some(Criterion::Completeness),
-    Some(Criterion::LabelNoise),
-    Some(Criterion::Duplicates),
-    Some(Criterion::Outliers),
-    Some(Criterion::Imbalance),
-    Some(Criterion::Inconsistency),
-    Some(Criterion::AttributeNoise),
-];
-
-/// The 24 scenarios of one seed, each named `<scenario>-v<variant>`:
-/// the three `all_scenarios` in each variant, the defect applied at
-/// severity 0.5, and the graph `scenario_to_lod` makes of it (link
-/// density 0.2).
+/// The 24 scenarios of one seed ([`pipeline_mix_scenarios`]), each
+/// named `<scenario>-v<variant>`, with the graph `scenario_to_lod` makes
+/// of it (link density 0.2).
 fn scenarios(seed: u64) -> Vec<(String, Scenario, Graph)> {
-    let mut out = Vec::new();
-    for (v, defect) in VARIANT_DEFECTS.iter().enumerate() {
-        let by_scenario = all_scenarios(ROWS, seed.wrapping_add(1000 * v as u64));
-        for (s, mut scenario) in by_scenario.into_iter().enumerate() {
+    pipeline_mix_scenarios(seed)
+        .into_iter()
+        .enumerate()
+        .map(|(i, scenario)| {
+            let (v, s) = (i / 3, i % 3);
             let j = (9 * v + s) as u64;
-            if let Some(defect) = defect {
-                let mut dataset = ExperimentDataset::new(
-                    &scenario.name,
-                    scenario.table.clone(),
-                    &scenario.target,
-                );
-                dataset.exclude = scenario.id_columns.clone();
-                scenario.table = defect
-                    .degradation(0.5, &dataset)
-                    .unwrap()
-                    .apply(&scenario.table, seed.wrapping_add(j))
-                    .unwrap();
-            }
             let graph =
                 scenario_to_lod(&scenario, BASE_IRI, 0.2, seed.wrapping_add(j + 6)).unwrap();
-            out.push((format!("{}-v{v}", scenario.name), scenario, graph));
-        }
-    }
-    out
+            (format!("{}-v{v}", scenario.name), scenario, graph)
+        })
+        .collect()
 }
 
 /// The class whose instances `publish_table` made of dataset `slug`.

@@ -30,13 +30,15 @@ use openbi::kb::SnapshotKnowledgeBase;
 use openbi::obs;
 use openbi::pipeline::{run_pipeline, DataSource, PipelineConfig};
 use openbi_datagen::{make_blobs, BlobsConfig};
-use openbi_integration::null_nonfinite;
 use openbi_integration::reference::quality as reference;
+use openbi_integration::{null_nonfinite, pipeline_mix_scenarios};
 use openbi_quality::measure::balance::balance_report;
 use openbi_quality::measure::completeness::completeness;
 use openbi_quality::measure::consistency::format_signature;
 use openbi_quality::measure::correlation::correlation_report;
-use openbi_quality::measure::noise::{attribute_noise_estimate, label_noise_estimate};
+use openbi_quality::measure::noise::{
+    attribute_noise_estimate, label_noise_estimate, DEFAULT_MAX_ROWS,
+};
 use openbi_quality::measure::outliers::outlier_ratio;
 use openbi_quality::{
     measure_profile, measure_profile_cached, Degradation, MeasureOptions, MissingInjector,
@@ -889,6 +891,99 @@ fn noise_estimates_match_pinned_bits() {
     assert!(
         drift.is_empty(),
         "noise estimates drifted:\n{}",
+        drift.join("\n")
+    );
+}
+
+/// FNV-1a, 64-bit, over the little-endian bits of `values`.
+fn fnv64_bits(values: &[f64]) -> u64 {
+    values
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// Digests of both noise estimates over the 24 [`pipeline_mix_scenarios`]
+/// of each seed, per seed and k, and of the two estimates
+/// `measure_profile` reports for those tables, per seed.
+const PIPELINE_MIX_NOISE_DIGESTS: [(&str, u64); 18] = [
+    ("2012/k1/label", 0x2b06f2756f2d7e8d),
+    ("2012/k1/attribute", 0x6b7a8057ef60d6d2),
+    ("2012/k3/label", 0x339a3597981bdc55),
+    ("2012/k3/attribute", 0x78f713f5d1e10a57),
+    ("2012/k5/label", 0x2762408856398639),
+    ("2012/k5/attribute", 0xf3edc007f9acda6c),
+    ("2012/k12/label", 0x7b211e41a1024138),
+    ("2012/k12/attribute", 0x90a13a863cb8c508),
+    ("2012/profile", 0x4aa88963ab432bc4),
+    ("7/k1/label", 0xb0076db5c36d5c3f),
+    ("7/k1/attribute", 0x5158debe151a35d7),
+    ("7/k3/label", 0x0206a9e11dbd4413),
+    ("7/k3/attribute", 0xe54b18855204debd),
+    ("7/k5/label", 0xa48816c9bc2c0b35),
+    ("7/k5/attribute", 0xddeba8e35b8c1e14),
+    ("7/k12/label", 0x24ec1f240025eabc),
+    ("7/k12/attribute", 0xb440112cbd6171f2),
+    ("7/profile", 0x86091dadb1699b1c),
+];
+
+/// Both noise estimates keep their exact bits on the benchmark's own
+/// inputs, through the estimator functions and through the profile.
+#[test]
+fn pipeline_mix_noise_estimates_match_pinned_digests() {
+    let mut computed = Vec::new();
+    for seed in [2012u64, 7] {
+        let tables = pipeline_mix_scenarios(seed);
+        for k in [1, 3, 5, 12] {
+            let (mut label, mut attribute) = (Vec::new(), Vec::new());
+            for s in &tables {
+                let ids: Vec<&str> = s.id_columns.iter().map(String::as_str).collect();
+                let mut features = ids.clone();
+                features.push(&s.target);
+                label.push(label_noise_estimate(
+                    &s.table,
+                    &s.target,
+                    &ids,
+                    k,
+                    DEFAULT_MAX_ROWS,
+                    DEFAULT_NOISE_SEED,
+                ));
+                attribute.push(attribute_noise_estimate(
+                    &s.table,
+                    &features,
+                    k,
+                    DEFAULT_MAX_ROWS,
+                    DEFAULT_NOISE_SEED,
+                ));
+            }
+            computed.push((format!("{seed}/k{k}/label"), fnv64_bits(&label)));
+            computed.push((format!("{seed}/k{k}/attribute"), fnv64_bits(&attribute)));
+        }
+        let profiled: Vec<f64> = tables
+            .iter()
+            .flat_map(|s| {
+                let options = MeasureOptions {
+                    target: Some(s.target.clone()),
+                    exclude: s.id_columns.clone(),
+                };
+                let p = measure_profile(&s.table, &options);
+                [p.label_noise_estimate, p.attr_noise_estimate]
+            })
+            .collect();
+        computed.push((format!("{seed}/profile"), fnv64_bits(&profiled)));
+    }
+    let drift: Vec<String> = computed
+        .iter()
+        .filter(|(name, digest)| !PIPELINE_MIX_NOISE_DIGESTS.contains(&(name.as_str(), *digest)))
+        .map(|(name, digest)| format!("(\"{name}\", 0x{digest:016x}),"))
+        .collect();
+    assert!(
+        drift.is_empty() && computed.len() == PIPELINE_MIX_NOISE_DIGESTS.len(),
+        "{} of {} digests drifted from the pinned bits:\n{}",
+        drift.len(),
+        PIPELINE_MIX_NOISE_DIGESTS.len(),
         drift.join("\n")
     );
 }
