@@ -51,8 +51,11 @@
 //!
 //! Every numeric flag is validated: a value that does not parse exits
 //! with status 2 and an `error: --<flag> must be …` line, never a
-//! silent fallback to the default. `kb recover` replays such a log on its own — useful
-//! after a crash, or to turn a log into a plain `kb.jsonl`.
+//! silent fallback to the default. So does an `experiments` size at
+//! which every cell would fail (`--folds` below 2, `--rows` below
+//! `--folds`, `--cell-deadline-ms 0`), before anything is written.
+//! `kb recover` replays such a log on its own — useful after a crash,
+//! or to turn a log into a plain `kb.jsonl`.
 //!
 //! [`MetricsSnapshot`]: openbi::obs::MetricsSnapshot
 
@@ -361,8 +364,11 @@ struct GridFlags {
 }
 
 impl GridFlags {
+    /// Parse the flags and refuse sizes at which every cell would fail:
+    /// cross-validation needs 2 folds and a row per fold, and a deadline
+    /// of 0 ms abandons every cell.
     fn parse(args: &Args) -> Result<GridFlags, String> {
-        Ok(GridFlags {
+        let flags = GridFlags {
             rows: args.number("rows", INTEGER)?.unwrap_or(300),
             folds: args.number("folds", INTEGER)?.unwrap_or(3),
             seed: args.number("seed", INTEGER)?.unwrap_or(42),
@@ -371,7 +377,23 @@ impl GridFlags {
             cell_deadline: args
                 .number("cell-deadline-ms", INTEGER)?
                 .map(std::time::Duration::from_millis),
-        })
+        };
+        if flags.folds < 2 {
+            return Err(format!(
+                "--folds must be at least 2, got \"{}\"",
+                flags.folds
+            ));
+        }
+        if flags.rows < flags.folds {
+            return Err(format!(
+                "--rows must be at least --folds ({}), got \"{}\"",
+                flags.folds, flags.rows
+            ));
+        }
+        if flags.cell_deadline == Some(std::time::Duration::ZERO) {
+            return Err("--cell-deadline-ms must be a positive integer, got \"0\"".to_string());
+        }
+        Ok(flags)
     }
 }
 

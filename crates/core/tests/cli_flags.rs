@@ -1,7 +1,8 @@
-//! Malformed numeric flags must stop `openbi-cli` with exit status 2 and
-//! a first stderr line naming the flag — never a silent fallback to the
-//! flag's default. Every case fails during argument validation, before
-//! any input file is read or any experiment runs.
+//! Malformed numeric flags, and `experiments` sizes at which every cell
+//! would fail, must stop `openbi-cli` with exit status 2 and a first
+//! stderr line naming the flag — never a silent fallback to the flag's
+//! default. Every case fails during argument validation, before any
+//! input file is read or any experiment runs.
 //!
 //! The last test reruns `experiments` on one `--wal-dir`: the rerun
 //! logs no record twice and leaves the log untouched, both runs report
@@ -72,6 +73,40 @@ fn experiments_rejects_malformed_numbers() {
         !std::path::Path::new(&out).exists(),
         "a rejected command must not write its output"
     );
+}
+
+/// Sizes at which every cell would fail are refused before anything
+/// runs: no `--out`, and no `--wal-dir` (so no segment and no recorded
+/// grid sizes).
+#[test]
+fn experiments_rejects_sizes_at_which_every_cell_fails() {
+    let dir = std::env::temp_dir().join(format!("openbi-cli-sizes-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = dir.join("kb.jsonl").to_string_lossy().into_owned();
+    let wal = dir.join("wal").to_string_lossy().into_owned();
+    for durable in [false, true] {
+        let mut experiments = vec!["experiments", "--out", out.as_str()];
+        if durable {
+            experiments.extend(["--wal-dir", wal.as_str()]);
+        }
+        for (flag, value) in [("--folds", "1"), ("--folds", "0"), ("--rows", "0")] {
+            assert_rejected(&experiments, flag, Some(value));
+        }
+        assert_rejected(&experiments, "--cell-deadline-ms", Some("0"));
+        // `--rows 40 --folds 1` names the folds; `--rows 2` is below the
+        // default 3 folds, and `--rows 4` below `--folds 5`.
+        let mut rows_40 = experiments.clone();
+        rows_40.extend(["--rows", "40"]);
+        assert_rejected(&rows_40, "--folds", Some("1"));
+        assert_rejected(&experiments, "--rows", Some("2"));
+        let mut folds_5 = experiments.clone();
+        folds_5.extend(["--folds", "5"]);
+        assert_rejected(&folds_5, "--rows", Some("4"));
+        assert!(
+            !dir.exists(),
+            "a refused run must write nothing: no --out and no --wal-dir"
+        );
+    }
 }
 
 #[test]

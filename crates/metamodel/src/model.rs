@@ -108,7 +108,8 @@ pub struct ColumnModel {
     pub nullable: bool,
     /// Analytical role.
     pub role: ColumnRole,
-    /// Number of distinct non-null values observed (if known).
+    /// Number of categories observed (if known): distinct non-null
+    /// `Value::to_string()` texts, as `Column::categories` counts them.
     pub distinct_count: Option<usize>,
     /// Quality annotations scoped to this column.
     pub annotations: Vec<QualityAnnotation>,

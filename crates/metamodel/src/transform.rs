@@ -34,7 +34,7 @@ pub fn column_set_from_table(table: &Table, name: &str, provenance: Provenance) 
         if lower == "id" || lower == "iri" || lower.ends_with("_id") {
             cm.role = ColumnRole::Identifier;
         }
-        cm.distinct_count = Some(col.distinct().len());
+        cm.distinct_count = Some(col.categories().len());
         cs.columns.push(cm);
     }
     cs

@@ -23,7 +23,7 @@
 //! copies per fold.
 
 use crate::error::{MiningError, Result};
-use openbi_table::{DataType, Table, Value};
+use openbi_table::{DataType, Table};
 use std::borrow::Cow;
 
 /// The kind of a mining attribute.
@@ -201,8 +201,11 @@ impl PartialEq for Instances {
 impl Instances {
     /// Build instances from a table.
     ///
-    /// * `target`: optional class column (any type; values are stringified
-    ///   into a nominal dictionary).
+    /// * `target`: optional class column (any type). It and every string
+    ///   attribute get their nominal dictionary from
+    ///   [`Column::categories`](openbi_table::Column::categories): one
+    ///   category per distinct `Value::to_string()` text, coded in
+    ///   first-seen row order, null cells missing.
     /// * `exclude`: columns to skip entirely (identifiers etc.).
     pub fn from_table(table: &Table, target: Option<&str>, exclude: &[&str]) -> Result<Self> {
         if let Some(t) = target {
@@ -223,25 +226,11 @@ impl Instances {
                         .collect(),
                 ),
                 DataType::Str => {
-                    let mut dict: Vec<String> = Vec::new();
-                    let data = col
-                        .iter()
-                        .map(|v| match v {
-                            Value::Null => None,
-                            v => {
-                                let s = v.to_string();
-                                let idx = match dict.iter().position(|d| *d == s) {
-                                    Some(i) => i,
-                                    None => {
-                                        dict.push(s);
-                                        dict.len() - 1
-                                    }
-                                };
-                                Some(idx as f64)
-                            }
-                        })
+                    let cats = col.categories();
+                    let data = (0..col.len())
+                        .map(|r| cats.code(r).map(|c| c as f64))
                         .collect();
-                    (AttrKind::Nominal(dict), data)
+                    (AttrKind::Nominal(cats.texts()), data)
                 }
             };
             columns.push(ColumnData::from_options(&kind, data));
@@ -258,26 +247,8 @@ impl Instances {
         let n = table.n_rows();
         let (labels, class_names) = match target {
             Some(t) => {
-                let col = table.column(t)?;
-                let mut dict: Vec<String> = Vec::new();
-                let labels = col
-                    .iter()
-                    .map(|v| match v {
-                        Value::Null => None,
-                        v => {
-                            let s = v.to_string();
-                            let idx = match dict.iter().position(|d| *d == s) {
-                                Some(i) => i,
-                                None => {
-                                    dict.push(s);
-                                    dict.len() - 1
-                                }
-                            };
-                            Some(idx)
-                        }
-                    })
-                    .collect();
-                (labels, dict)
+                let cats = table.column(t)?.categories();
+                ((0..n).map(|r| cats.code(r)).collect(), cats.texts())
             }
             None => (vec![None; n], vec![]),
         };

@@ -100,35 +100,30 @@ pub fn mdl_cut_points(table: &Table, column: &str, target: &str) -> Result<Vec<f
             "column {column} is not numeric"
         )));
     }
-    let cls = table.column(target)?;
-    // Build the class dictionary.
-    let mut dict: Vec<String> = Vec::new();
+    let cats = table.column(target)?.categories();
+    // Class ids in first-seen order over the rows with a value, so the
+    // entropy terms keep their summation order.
+    let mut ids: Vec<Option<usize>> = vec![None; cats.len()];
+    let mut n_classes = 0;
     let mut pairs: Vec<(f64, usize)> = Vec::new();
     for i in 0..table.n_rows() {
-        let (Some(v), label) = (col.get(i)?.as_f64(), cls.get(i)?) else {
+        let (Some(v), Some(code)) = (col.get(i)?.as_f64(), cats.code(i)) else {
             continue;
         };
-        if label.is_null() {
-            continue;
-        }
-        let s = label.to_string();
-        let id = match dict.iter().position(|d| *d == s) {
-            Some(p) => p,
-            None => {
-                dict.push(s);
-                dict.len() - 1
-            }
-        };
+        let id = *ids[code].get_or_insert_with(|| {
+            n_classes += 1;
+            n_classes - 1
+        });
         pairs.push((v, id));
     }
-    if dict.len() < 2 {
+    if n_classes < 2 {
         return Err(MiningError::InvalidDataset(
             "MDL discretization needs >= 2 classes".into(),
         ));
     }
     pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
     let mut cuts = Vec::new();
-    split(&pairs, dict.len(), &mut cuts, 0);
+    split(&pairs, n_classes, &mut cuts, 0);
     cuts.sort_by(f64::total_cmp);
     Ok(cuts)
 }

@@ -36,7 +36,7 @@
 use crate::accumulator::{CellQuality, CellState};
 use crate::cube::Measure;
 use openbi_faults::FaultPlan;
-use openbi_table::{Column, ColumnData, DataType, Result, Table, Value};
+use openbi_table::{Categories, Column, ColumnData, DataType, Result, Table, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -122,11 +122,12 @@ impl ShardPlan {
     }
 }
 
-/// A dictionary-encoded dimension column: every row mapped to the id of
-/// its **rendered** value (`Value::to_string()` semantics, nulls become
-/// `""` and merge with literal empty strings, exactly like `group_by`'s
-/// string keys). Ids are assigned in first-seen row order, so they are
-/// a pure function of the column — independent of shard count — and the
+/// A dimension column's group keys: every row mapped to the code of its
+/// category ([`Column::categories`]: one code per distinct
+/// `Value::to_string()` text, in first-seen row order), and a null cell
+/// to the code of `""` — OLAP's own rule, which merges a null with a
+/// literal empty string exactly like `group_by`'s string keys. Codes are
+/// a pure function of the column, independent of shard count, and the
 /// per-row hot path of the aggregation kernel touches only `u32`s, no
 /// string allocation.
 struct DimIndex {
@@ -137,103 +138,21 @@ struct DimIndex {
     values: Vec<String>,
 }
 
-/// Intern `rendered` into `values`, deduplicating by final string (this
-/// is what conflates a null cell with a literal `""`, `1.0` written two
-/// ways, or NaNs with different payloads — whatever renders the same
-/// groups the same, as in `group_by`).
-fn intern_string(
-    rendered: String,
-    by_string: &mut HashMap<String, u32>,
-    values: &mut Vec<String>,
-) -> u32 {
-    match by_string.get(rendered.as_str()) {
-        Some(&id) => id,
-        None => {
-            let id = values.len() as u32;
-            by_string.insert(rendered.clone(), id);
-            values.push(rendered);
-            id
-        }
-    }
-}
-
 impl DimIndex {
     fn new(col: &Column) -> DimIndex {
-        let mut ids: Vec<u32> = Vec::with_capacity(col.len());
-        let mut values: Vec<String> = Vec::new();
-        let mut by_string: HashMap<String, u32> = HashMap::new();
-        let mut null_id: Option<u32> = None;
-        let mut intern_null = |by_string: &mut HashMap<String, u32>, values: &mut Vec<String>| {
-            *null_id.get_or_insert_with(|| intern_string(String::new(), by_string, values))
-        };
-        match col.data() {
-            ColumnData::Str(v) => {
-                // Raw-value cache so repeated strings hash once without
-                // rendering; the id still comes from the string table.
-                let mut by_raw: HashMap<&str, u32> = HashMap::new();
-                for cell in v {
-                    ids.push(match cell {
-                        Some(s) => match by_raw.get(s.as_str()) {
-                            Some(&id) => id,
-                            None => {
-                                let id = intern_string(s.clone(), &mut by_string, &mut values);
-                                by_raw.insert(s.as_str(), id);
-                                id
-                            }
-                        },
-                        None => intern_null(&mut by_string, &mut values),
-                    });
+        let cats = col.categories();
+        let mut values = cats.texts();
+        let mut ids = cats.into_codes();
+        if ids.contains(&Categories::NULL) {
+            let empty = match values.iter().position(String::is_empty) {
+                Some(code) => code,
+                None => {
+                    values.push(String::new());
+                    values.len() - 1
                 }
-            }
-            ColumnData::Int(v) => {
-                let mut by_raw: HashMap<i64, u32> = HashMap::new();
-                for cell in v {
-                    ids.push(match cell {
-                        Some(x) => match by_raw.get(x) {
-                            Some(&id) => id,
-                            None => {
-                                let id = intern_string(x.to_string(), &mut by_string, &mut values);
-                                by_raw.insert(*x, id);
-                                id
-                            }
-                        },
-                        None => intern_null(&mut by_string, &mut values),
-                    });
-                }
-            }
-            ColumnData::Float(v) => {
-                // Cache on raw bits; dedup still happens on the rendered
-                // string, so bit-distinct NaNs land in one group.
-                let mut by_raw: HashMap<u64, u32> = HashMap::new();
-                for cell in v {
-                    ids.push(match cell {
-                        Some(x) => match by_raw.get(&x.to_bits()) {
-                            Some(&id) => id,
-                            None => {
-                                let id = intern_string(format!("{x}"), &mut by_string, &mut values);
-                                by_raw.insert(x.to_bits(), id);
-                                id
-                            }
-                        },
-                        None => intern_null(&mut by_string, &mut values),
-                    });
-                }
-            }
-            ColumnData::Bool(v) => {
-                let mut by_raw: [Option<u32>; 2] = [None, None];
-                for cell in v {
-                    ids.push(match cell {
-                        Some(x) => match by_raw[*x as usize] {
-                            Some(id) => id,
-                            None => {
-                                let id = intern_string(x.to_string(), &mut by_string, &mut values);
-                                by_raw[*x as usize] = Some(id);
-                                id
-                            }
-                        },
-                        None => intern_null(&mut by_string, &mut values),
-                    });
-                }
+            } as u32;
+            for id in ids.iter_mut().filter(|id| **id == Categories::NULL) {
+                *id = empty;
             }
         }
         DimIndex { ids, values }
@@ -367,9 +286,9 @@ pub fn build_cube(
         };
         measure_view_of.push(vi);
     }
-    // Dictionary-encode the dimension columns up front (in parallel —
-    // one column per thread). Encoding is a pure per-column function of
-    // the data, so it is identical at every shard count.
+    // Encode the dimension columns up front (in parallel — one column
+    // per thread). Encoding is a pure per-column function of the data,
+    // so it is identical at every shard count.
     let dim_views: Vec<DimIndex> = if dims.len() > 1 {
         std::thread::scope(|scope| {
             let handles: Vec<_> = dims

@@ -4,7 +4,9 @@ use super::Injector;
 use openbi_table::{Result, Rng, Table, TableError};
 
 /// Downsamples all but the most common class until that class makes up
-/// `majority_fraction` of the rows. Row order of the kept rows is
+/// `majority_fraction` of the rows. The classes are the target's
+/// categories ([`Column::categories`](openbi_table::Column::categories));
+/// rows with a null target are dropped. Row order of the kept rows is
 /// preserved.
 #[derive(Debug, Clone)]
 pub struct ImbalanceInjector {
@@ -45,19 +47,13 @@ impl Injector for ImbalanceInjector {
                 self.majority_fraction
             )));
         }
-        let col = table.column(&self.target)?;
-        // Partition row indices by class label (nulls dropped).
-        let mut by_class: Vec<(String, Vec<usize>)> = Vec::new();
-        for i in 0..table.n_rows() {
-            let v = col.get(i)?;
-            if v.is_null() {
-                continue;
-            }
-            let key = v.to_string();
-            if let Some(entry) = by_class.iter_mut().find(|(k, _)| *k == key) {
-                entry.1.push(i);
-            } else {
-                by_class.push((key, vec![i]));
+        // Partition row indices by class (nulls dropped).
+        let cats = table.column(&self.target)?.categories();
+        let mut by_class: Vec<(String, Vec<usize>)> =
+            cats.texts().into_iter().map(|t| (t, Vec::new())).collect();
+        for row in 0..table.n_rows() {
+            if let Some(c) = cats.code(row) {
+                by_class[c].1.push(row);
             }
         }
         if by_class.len() < 2 {

@@ -5,7 +5,9 @@ use super::Injector;
 use openbi_table::{Result, Rng, Table, TableError, Value};
 
 /// Flips `ratio` of the target column's labels to a uniformly chosen
-/// *different* observed class.
+/// *different* observed class: another category of
+/// [`Column::categories`](openbi_table::Column::categories), written as
+/// that category's first cell.
 #[derive(Debug, Clone)]
 pub struct LabelNoiseInjector {
     /// Target column whose labels are flipped.
@@ -44,27 +46,26 @@ impl Injector for LabelNoiseInjector {
                 self.ratio
             )));
         }
-        let col = table.column(&self.target)?;
-        let classes = col.distinct();
-        if classes.len() < 2 {
+        let cats = table.column(&self.target)?.categories();
+        if cats.len() < 2 {
             return Err(TableError::InvalidArgument(format!(
                 "label noise needs at least 2 classes in '{}', found {}",
                 self.target,
-                classes.len()
+                cats.len()
             )));
         }
+        let classes: Vec<Value> = (0..cats.len()).map(|c| cats.value(c)).collect();
         let mut out = table.clone();
         let n = table.n_rows();
         let target_count = (self.ratio * n as f64).round() as usize;
         for row in rng.sample_indices(n, target_count) {
-            let current = col.get(row)?;
-            if current.is_null() {
+            let Some(current) = cats.code(row) else {
                 continue;
-            }
-            // Choose uniformly among the other classes.
-            let others: Vec<&Value> = classes.iter().filter(|c| **c != current).collect();
-            let pick = others[rng.below(others.len())].clone();
-            out.set(&self.target, row, pick)?;
+            };
+            // Choose uniformly among the other classes, in code order.
+            let pick = rng.below(classes.len() - 1);
+            let other = if pick < current { pick } else { pick + 1 };
+            out.set(&self.target, row, classes[other].clone())?;
         }
         Ok(out)
     }

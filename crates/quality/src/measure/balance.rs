@@ -1,14 +1,14 @@
 //! Class balance measurement for a designated target column.
 //!
-//! Counting is columnar: string targets (the common case) are counted by
-//! `&str` borrow and only the distinct labels are cloned, instead of
-//! rendering every cell to a fresh `String` as `stats::value_counts`
-//! does. Entropy is summed in sorted-key order — the same deterministic
-//! order as the fixed `stats::entropy` — and the normalized value is
-//! clamped to 1.0 (uniform distributions can overshoot by an ulp).
+//! The classes are the categories of the target column
+//! ([`Column::categories`](openbi_table::Column::categories)), counted by
+//! code; only each class's text is rendered, where `stats::value_counts`
+//! renders every cell. Entropy is summed in sorted-key order — the same
+//! deterministic order as the fixed `stats::entropy` — and the normalized
+//! value is clamped to 1.0 (uniform distributions can overshoot by an
+//! ulp).
 
-use openbi_table::{stats, Table};
-use std::collections::HashMap;
+use openbi_table::Table;
 
 /// Class-distribution summary of a target column.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,23 +23,16 @@ pub struct BalanceReport {
     pub class_counts: Vec<(String, usize)>,
 }
 
-/// Count distinct non-null rendered values. String columns take a
-/// borrow-first fast path; other dtypes go through `stats::value_counts`
-/// (identical counts — `Value::to_string` rendering either way).
+/// Rows per class of `target`, with each class's text.
 fn class_counts(table: &Table, target: &str) -> openbi_table::Result<Vec<(String, usize)>> {
-    let col = table.column(target)?;
-    if let Some(values) = col.as_str_slice() {
-        let mut counts: HashMap<&str, usize> = HashMap::new();
-        for v in values.iter().flatten() {
-            *counts.entry(v.as_str()).or_insert(0) += 1;
+    let cats = table.column(target)?.categories();
+    let mut counts = vec![0usize; cats.len()];
+    for row in 0..table.n_rows() {
+        if let Some(c) = cats.code(row) {
+            counts[c] += 1;
         }
-        Ok(counts
-            .into_iter()
-            .map(|(k, c)| (k.to_string(), c))
-            .collect())
-    } else {
-        Ok(stats::value_counts(col).into_iter().collect())
     }
+    Ok(cats.texts().into_iter().zip(counts).collect())
 }
 
 /// Measure class balance of `target`. Errors if the column is missing.

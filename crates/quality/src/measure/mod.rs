@@ -127,10 +127,9 @@ pub fn measure_profile(table: &Table, options: &MeasureOptions) -> QualityProfil
         }
         None => (1.0, 1.0, 0),
     };
-    let noise = noise::noise_estimates(
+    let noise = noise::estimates_from_packed(
         table,
         target,
-        true,
         &packed,
         NOISE_K,
         noise::DEFAULT_MAX_ROWS,

@@ -58,9 +58,7 @@
 //! same table with those cells null scores.
 
 use super::{pack_numeric, PackedColumn};
-use openbi_table::{Column, Table, Value};
-use std::borrow::Cow;
-use std::collections::HashMap;
+use openbi_table::Table;
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -268,30 +266,6 @@ impl<'a> RowDistances<'a> {
     }
 }
 
-/// Dense label ids of the selected rows (`None` for a null cell) and the
-/// number of distinct labels. Two cells share an id when they render to
-/// the same `Value::to_string` text; string targets are interned by
-/// borrow, other types through their rendering.
-fn label_ids(col: &Column, rows: &[usize]) -> (Vec<Option<usize>>, usize) {
-    let strs = col.as_str_slice();
-    let mut ids: HashMap<Cow<str>, usize> = HashMap::new();
-    let labels = rows
-        .iter()
-        .map(|&r| {
-            let key = match strs {
-                Some(s) => Cow::Borrowed(s[r].as_deref()?),
-                None => match col.get(r).expect("in-bounds") {
-                    Value::Null => return None,
-                    v => Cow::Owned(v.to_string()),
-                },
-            };
-            let next = ids.len();
-            Some(*ids.entry(key).or_insert(next))
-        })
-        .collect();
-    (labels, ids.len())
-}
-
 /// Global variance of each normalized column; `None` marks a
 /// (near-)constant dimension, which scores nothing.
 fn global_variances(cols: &[Vec<f64>]) -> Vec<Option<f64>> {
@@ -318,11 +292,13 @@ fn global_variances(cols: &[Vec<f64>]) -> Vec<Option<f64>> {
         .collect()
 }
 
-/// Both noise estimates of one table; 0.0 for an estimate that was not
-/// asked for or does not apply.
+/// Both noise estimates of one table; 0.0 for an estimate that does not
+/// apply.
 #[derive(Debug)]
-pub(crate) struct NoiseEstimates {
+pub struct NoiseEstimates {
+    /// k-NN disagreement estimate of label noise.
     pub label: f64,
+    /// Local-roughness estimate of attribute noise, in `[0,1]`.
     pub attribute: f64,
 }
 
@@ -338,8 +314,8 @@ struct Sweep {
     k: usize,
     /// Normalized feature columns of the sampled rows.
     cols: Vec<Vec<f64>>,
-    /// Label ids of the sampled rows and the label count, when label
-    /// noise is estimated.
+    /// Category codes of the sampled rows' labels and the category
+    /// count, when label noise is estimated.
     labels: Option<(Vec<Option<usize>>, usize)>,
     /// Global variance per column, when attribute noise is estimated
     /// and some column varies.
@@ -348,7 +324,7 @@ struct Sweep {
 
 impl Sweep {
     /// Draw the sample of `table` and prepare label noise against
-    /// `target` (when given) and attribute noise (when `attribute`).
+    /// `target` (when given) and attribute noise.
     ///
     /// Label noise applies with a `target` column, `k ≥ 1`, at least
     /// `k + 1` sampled rows and one feature column; attribute noise with
@@ -356,7 +332,6 @@ impl Sweep {
     fn new(
         table: &Table,
         target: Option<&str>,
-        attribute: bool,
         packed: &[PackedColumn],
         k: usize,
         max_rows: usize,
@@ -369,7 +344,7 @@ impl Sweep {
             labels: None,
             global_var: None,
         };
-        if k == 0 || (target.is_none() && !attribute) {
+        if k == 0 {
             return sweep;
         }
         let rows = selected_rows(table, max_rows, seed);
@@ -380,8 +355,12 @@ impl Sweep {
         if sweep.cols.is_empty() {
             return sweep;
         }
-        sweep.labels = target.map(|col| label_ids(col, &rows));
-        if attribute && sweep.cols.len() >= 2 {
+        // Two labels vote alike when they are one category of the column.
+        sweep.labels = target.map(|col| {
+            let cats = col.categories();
+            (rows.iter().map(|&r| cats.code(r)).collect(), cats.len())
+        });
+        if sweep.cols.len() >= 2 {
             let global_var = global_variances(&sweep.cols);
             if global_var.iter().any(Option::is_some) {
                 sweep.global_var = Some(global_var);
@@ -579,27 +558,32 @@ fn available_cores() -> usize {
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// Label noise against `target` (when given) and attribute noise (when
-/// `attribute`) of `table` over already-packed feature columns (the
-/// target must not be among them), from one sweep over the sampled rows
-/// split across the available cores.
-pub(crate) fn noise_estimates(
+/// Label noise against `target` (when given) and attribute noise of
+/// `table` over already-packed feature columns (the target must not be
+/// among them), from one sweep over the sampled rows split across the
+/// available cores.
+pub(crate) fn estimates_from_packed(
     table: &Table,
     target: Option<&str>,
-    attribute: bool,
     packed: &[PackedColumn],
     k: usize,
     max_rows: usize,
     seed: u64,
 ) -> NoiseEstimates {
-    let sweep = Sweep::new(table, target, attribute, packed, k, max_rows, seed);
+    let sweep = Sweep::new(table, target, packed, k, max_rows, seed);
     let blocks = available_cores().min(sweep.n_rows() / MIN_BLOCK_ROWS);
     sweep.run(blocks)
 }
 
-/// k-NN disagreement estimate of label noise; 0.0 when there is no
-/// usable target, no numeric features, or fewer than `k + 1` sampled
-/// rows.
+/// Both noise estimates of `table` over its numeric columns, leaving out
+/// `exclude` and the target.
+///
+/// * `label`: the k-NN disagreement estimate of label noise against
+///   `target`; 0.0 when there is no usable target, no numeric feature,
+///   or fewer than `k + 1` sampled rows.
+/// * `attribute`: the local-roughness estimate of attribute noise in
+///   `[0,1]`; 0.0 with fewer than two usable numeric features or too
+///   few rows.
 ///
 /// `exclude` columns are kept out of the feature space **in addition to
 /// the target** (the frozen reference only dropped the target, so an
@@ -607,40 +591,25 @@ pub(crate) fn noise_estimates(
 /// for the neighborhood majority never counts as a disagreement when the
 /// row's own label is among the tied maxima — the tie verdict no longer
 /// depends on vote insertion order.
-pub fn label_noise_estimate(
+pub fn noise_estimates(
     table: &Table,
-    target: &str,
+    target: Option<&str>,
     exclude: &[&str],
     k: usize,
     max_rows: usize,
     seed: u64,
-) -> f64 {
+) -> NoiseEstimates {
     let mut ex: Vec<&str> = exclude.to_vec();
-    if !ex.contains(&target) {
-        ex.push(target);
-    }
+    ex.extend(target);
     let packed = pack_numeric(table, &ex);
-    noise_estimates(table, Some(target), false, &packed, k, max_rows, seed).label
-}
-
-/// Local-roughness estimate of attribute noise in `[0,1]`; 0.0 when the
-/// table has fewer than two usable numeric attributes or too few rows.
-pub fn attribute_noise_estimate(
-    table: &Table,
-    exclude: &[&str],
-    k: usize,
-    max_rows: usize,
-    seed: u64,
-) -> f64 {
-    let packed = pack_numeric(table, exclude);
-    noise_estimates(table, None, true, &packed, k, max_rows, seed).attribute
+    estimates_from_packed(table, target, &packed, k, max_rows, seed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::measure::DEFAULT_NOISE_SEED;
-    use openbi_table::Column;
+    use openbi_table::{Column, Value};
 
     const SEED: u64 = DEFAULT_NOISE_SEED;
 
@@ -669,7 +638,7 @@ mod tests {
     #[test]
     fn clean_labels_score_near_zero() {
         let t = clean_table();
-        let noise = label_noise_estimate(&t, "class", &[], 5, DEFAULT_MAX_ROWS, SEED);
+        let noise = noise_estimates(&t, Some("class"), &[], 5, DEFAULT_MAX_ROWS, SEED).label;
         assert!(noise < 0.05, "noise estimate was {noise}");
     }
 
@@ -686,14 +655,15 @@ mod tests {
             };
             t.set("class", i, Value::Str(flipped.into())).unwrap();
         }
-        let noise = label_noise_estimate(&t, "class", &[], 5, DEFAULT_MAX_ROWS, SEED);
+        let noise = noise_estimates(&t, Some("class"), &[], 5, DEFAULT_MAX_ROWS, SEED).label;
         assert!(noise > 0.15, "noise estimate was {noise}");
     }
 
     #[test]
     fn missing_target_scores_zero() {
         let t = clean_table();
-        assert_eq!(label_noise_estimate(&t, "nope", &[], 5, 512, SEED), 0.0);
+        let noise = noise_estimates(&t, Some("nope"), &[], 5, 512, SEED);
+        assert_eq!(noise.label, 0.0);
     }
 
     #[test]
@@ -703,7 +673,8 @@ mod tests {
             Column::from_str_values("class", ["a", "b"]),
         ])
         .unwrap();
-        assert_eq!(label_noise_estimate(&t, "class", &[], 5, 512, SEED), 0.0);
+        let noise = noise_estimates(&t, Some("class"), &[], 5, 512, SEED);
+        assert_eq!(noise.label, 0.0);
     }
 
     #[test]
@@ -722,8 +693,8 @@ mod tests {
             Column::from_f64("y", noisy_y),
         ])
         .unwrap();
-        let s = attribute_noise_estimate(&structured, &[], 5, 512, SEED);
-        let n = attribute_noise_estimate(&noisy, &[], 5, 512, SEED);
+        let s = noise_estimates(&structured, None, &[], 5, 512, SEED).attribute;
+        let n = noise_estimates(&noisy, None, &[], 5, 512, SEED).attribute;
         assert!(s < n, "structured {s} should be below noisy {n}");
         assert!(s < 0.1, "structured roughness was {s}");
     }
@@ -731,7 +702,8 @@ mod tests {
     #[test]
     fn single_numeric_column_scores_zero() {
         let t = Table::new(vec![Column::from_f64("x", [1.0, 2.0, 3.0])]).unwrap();
-        assert_eq!(attribute_noise_estimate(&t, &[], 3, 512, SEED), 0.0);
+        let noise = noise_estimates(&t, None, &[], 3, 512, SEED);
+        assert_eq!(noise.attribute, 0.0);
     }
 
     /// The selection oracle: every `(distance, index)` pair but `row`,
@@ -1002,8 +974,7 @@ mod tests {
     }
 
     /// The sweep's estimates have the same bits at any row-block count,
-    /// and those are the bits of the one-block sweep each wrapper runs
-    /// on its own.
+    /// and those are the bits of the public entry point.
     #[test]
     fn sweep_bits_do_not_depend_on_the_block_count() {
         for (name, table, target, exclude, max_rows) in noise_cases() {
@@ -1011,7 +982,7 @@ mod tests {
             ex.push(target);
             let packed = pack_numeric(&table, &ex);
             for k in [1, 3, 5, 12] {
-                let sweep = Sweep::new(&table, Some(target), true, &packed, k, max_rows, SEED);
+                let sweep = Sweep::new(&table, Some(target), &packed, k, max_rows, SEED);
                 let one = sweep.run(1);
                 for blocks in [2, 3, 7] {
                     let many = sweep.run(blocks);
@@ -1021,12 +992,11 @@ mod tests {
                         "{name} k={k}: {blocks} blocks"
                     );
                 }
-                let label = label_noise_estimate(&table, target, &exclude, k, max_rows, SEED);
-                let attribute = attribute_noise_estimate(&table, &ex, k, max_rows, SEED);
+                let entry = noise_estimates(&table, Some(target), &exclude, k, max_rows, SEED);
                 assert_eq!(
-                    [label.to_bits(), attribute.to_bits()],
+                    [entry.label.to_bits(), entry.attribute.to_bits()],
                     [one.label.to_bits(), one.attribute.to_bits()],
-                    "{name} k={k}: one sweep for both estimates"
+                    "{name} k={k}: the public entry point"
                 );
             }
         }
@@ -1052,7 +1022,7 @@ mod tests {
     #[test]
     fn zero_k_scores_zero() {
         let t = clean_table();
-        assert_eq!(label_noise_estimate(&t, "class", &[], 0, 512, SEED), 0.0);
-        assert_eq!(attribute_noise_estimate(&t, &[], 0, 512, SEED), 0.0);
+        let noise = noise_estimates(&t, Some("class"), &[], 0, 512, SEED);
+        assert_eq!([noise.label, noise.attribute], [0.0, 0.0]);
     }
 }

@@ -410,20 +410,6 @@ impl Column {
         }
         Ok(())
     }
-
-    /// Distinct non-null values, in first-seen order.
-    pub fn distinct(&self) -> Vec<Value> {
-        let mut seen: Vec<Value> = Vec::new();
-        for v in self.iter() {
-            if v.is_null() {
-                continue;
-            }
-            if !seen.iter().any(|s| s == &v) {
-                seen.push(v);
-            }
-        }
-        seen
-    }
 }
 
 #[cfg(test)]
@@ -497,21 +483,6 @@ mod tests {
         assert_eq!(a.len(), 3);
         let f = Column::from_f64("a", [1.0]);
         assert!(a.extend_from(&f).is_err());
-    }
-
-    #[test]
-    fn distinct_preserves_order_skips_null() {
-        let c = Column::from_opt_str(
-            "s",
-            [
-                Some("b".to_string()),
-                None,
-                Some("a".to_string()),
-                Some("b".to_string()),
-            ],
-        );
-        let d = c.distinct();
-        assert_eq!(d, vec![Value::Str("b".into()), Value::Str("a".into())]);
     }
 
     #[test]

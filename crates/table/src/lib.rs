@@ -13,6 +13,11 @@
 //!   numeric scans avoid per-cell enum dispatch; the dynamically typed
 //!   [`Value`] is only materialized at cell-level APIs.
 //! * Every statistic is null-aware (computed over non-null cells).
+//! * [`Column::categories`] is the one category rule: two non-null cells
+//!   are one category iff their `Value::to_string()` texts are equal.
+//!   Mining dictionaries, class labels, class counts, defect injectors,
+//!   catalog distinct counts and OLAP dimension keys all take their
+//!   codes from it.
 //! * [`Rng`] (SplitMix64) is the one seeded generator of the workspace:
 //!   row sampling here and every degradation, fold split, bootstrap and
 //!   synthetic dataset above draw from it, so every seeded output is a
@@ -21,6 +26,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod category;
 pub mod column;
 pub mod csv;
 pub mod error;
@@ -33,6 +39,7 @@ pub mod stats;
 pub mod table;
 pub mod value;
 
+pub use category::Categories;
 pub use column::{Column, ColumnData};
 pub use csv::{read_csv_path, read_csv_str, write_csv_path, write_csv_str, CsvOptions};
 pub use error::{Result, TableError};

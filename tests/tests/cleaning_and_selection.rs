@@ -101,8 +101,12 @@ fn mdl_discretization_feeds_sharper_rules_than_raw_numbers() {
     let sub = scenario.table.select(&["headcount", "overspend"]).unwrap();
     let discretized = mdl_discretize_column(&sub, "headcount", "overspend").unwrap();
     // MDL found at least one cut: the column has >1 distinct bucket.
-    let distinct = discretized.column("headcount").unwrap().distinct();
-    assert!(distinct.len() >= 2, "buckets {distinct:?}");
+    let buckets = discretized
+        .column("headcount")
+        .unwrap()
+        .categories()
+        .texts();
+    assert!(buckets.len() >= 2, "buckets {buckets:?}");
     let apriori = Apriori {
         min_support: 0.1,
         min_confidence: 0.6,

@@ -124,7 +124,7 @@ fn label_noise_flips_at_most_requested() {
     check_cases(CASES, |rng| {
         let (ratio, seed, table) = (rng.f64(), rng.below(1000) as u64, arb_table(rng));
         // The injector needs both classes present.
-        if table.column("class").unwrap().distinct().len() < 2 {
+        if table.column("class").unwrap().categories().len() < 2 {
             return;
         }
         let inj = LabelNoiseInjector::new("class", ratio);
@@ -137,6 +137,61 @@ fn label_noise_flips_at_most_requested() {
         // Non-label columns untouched.
         assert_eq!(out.column("x").unwrap(), table.column("x").unwrap());
     });
+}
+
+/// One category rule in every reader: a float target holding `0.0`,
+/// `-0.0`, `1.0`, a null and four NaN cells (both signs, two payloads)
+/// has the four classes `0`, `-0`, `1` and `NaN` in the mining
+/// dictionary, the balance report, the profile, the catalog and the OLAP
+/// dimension keys, and every label flip lands in another category.
+#[test]
+fn every_reader_counts_the_same_float_classes() {
+    let nan_payload = f64::from_bits(0x7FF8_0000_0000_0001);
+    let mut labels: Vec<Option<f64>> = (0..30).map(|r| Some([0.0, -0.0, 1.0][r % 3])).collect();
+    for (r, nan) in [
+        (4, f64::NAN),
+        (11, -f64::NAN),
+        (17, nan_payload),
+        (25, f64::NAN),
+    ] {
+        labels[r] = Some(nan);
+    }
+    labels[20] = None;
+    let table = Table::new(vec![
+        Column::from_f64("x", (0..30).map(|r| (r % 7) as f64)),
+        Column::from_opt_f64("y", labels),
+    ])
+    .unwrap();
+    let instances = openbi::mining::Instances::from_table(&table, Some("y"), &[]).unwrap();
+    assert_eq!(instances.class_names, ["0", "-0", "1", "NaN"]);
+    let balance = openbi::quality::measure::balance::balance_report(&table, "y").unwrap();
+    assert_eq!(balance.class_count, 4);
+    let profile = measure_profile(&table, &MeasureOptions::with_target("y"));
+    assert_eq!(profile.distinct_class_count, 4);
+    let catalog = openbi::metamodel::column_set_from_table(
+        &table,
+        "t",
+        openbi::metamodel::Provenance::Csv { source: "t".into() },
+    );
+    assert_eq!(catalog.column("y").unwrap().distinct_count, Some(4));
+    let cube = Cube::new(table.clone(), &["y"], vec![Measure::Count("x".into())]).unwrap();
+    let groups = cube
+        .rollup_quality(&["y"], &CubeOptions::default())
+        .unwrap();
+    let keys: Vec<String> = (0..groups.table.n_rows())
+        .map(|r| groups.table.get("y", r).unwrap().to_string())
+        .collect();
+    assert_eq!(keys, ["0", "-0", "1", "NaN", ""], "a null groups as \"\"");
+    for seed in 0..8 {
+        let inj = LabelNoiseInjector::new("y", 1.0);
+        let out = inj.apply(&table, &mut Rng::seed_from_u64(seed)).unwrap();
+        for r in (0..table.n_rows()).filter(|&r| r != 20) {
+            let (before, after) = (table.get("y", r).unwrap(), out.get("y", r).unwrap());
+            assert_ne!(before.to_string(), after.to_string(), "seed {seed} row {r}");
+            assert!(instances.class_names.contains(&after.to_string()));
+        }
+        assert!(out.get("y", 20).unwrap().is_null());
+    }
 }
 
 #[test]

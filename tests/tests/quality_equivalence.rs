@@ -36,9 +36,7 @@ use openbi_quality::measure::balance::balance_report;
 use openbi_quality::measure::completeness::completeness;
 use openbi_quality::measure::consistency::format_signature;
 use openbi_quality::measure::correlation::correlation_report;
-use openbi_quality::measure::noise::{
-    attribute_noise_estimate, label_noise_estimate, DEFAULT_MAX_ROWS,
-};
+use openbi_quality::measure::noise::{noise_estimates, DEFAULT_MAX_ROWS};
 use openbi_quality::measure::outliers::outlier_ratio;
 use openbi_quality::{
     measure_profile, measure_profile_cached, Degradation, MeasureOptions, MissingInjector,
@@ -843,27 +841,24 @@ fn noise_estimates_match_pinned_bits() {
     let mut drift = Vec::new();
     let mut checked = 0;
     for case in noise_cases() {
-        let mut features_ex: Vec<&str> = case.exclude.clone();
-        features_ex.push(&case.target);
         // Only the features: the target is read as label text.
         let mut nulled = null_nonfinite(&case.table);
         nulled
             .replace_column(case.table.column(&case.target).unwrap().clone())
             .unwrap();
         for k in NOISE_KS {
-            let [label, label_nulled] = [&case.table, &nulled].map(|t| {
-                label_noise_estimate(
+            let [live, live_nulled] = [&case.table, &nulled].map(|t| {
+                noise_estimates(
                     t,
-                    &case.target,
+                    Some(&case.target),
                     &case.exclude,
                     k,
                     case.max_rows,
                     DEFAULT_NOISE_SEED,
                 )
             });
-            let [attr, attr_nulled] = [&case.table, &nulled].map(|t| {
-                attribute_noise_estimate(t, &features_ex, k, case.max_rows, DEFAULT_NOISE_SEED)
-            });
+            let [label, attr] = [live.label, live.attribute];
+            let [label_nulled, attr_nulled] = [live_nulled.label, live_nulled.attribute];
             assert_eq!(
                 [bits(label), bits(attr)],
                 [bits(label_nulled), bits(attr_nulled)],
@@ -930,7 +925,7 @@ const PIPELINE_MIX_NOISE_DIGESTS: [(&str, u64); 18] = [
 ];
 
 /// Both noise estimates keep their exact bits on the benchmark's own
-/// inputs, through the estimator functions and through the profile.
+/// inputs, through `noise_estimates` and through the profile.
 #[test]
 fn pipeline_mix_noise_estimates_match_pinned_digests() {
     let mut computed = Vec::new();
@@ -940,23 +935,16 @@ fn pipeline_mix_noise_estimates_match_pinned_digests() {
             let (mut label, mut attribute) = (Vec::new(), Vec::new());
             for s in &tables {
                 let ids: Vec<&str> = s.id_columns.iter().map(String::as_str).collect();
-                let mut features = ids.clone();
-                features.push(&s.target);
-                label.push(label_noise_estimate(
+                let noise = noise_estimates(
                     &s.table,
-                    &s.target,
+                    Some(&s.target),
                     &ids,
                     k,
                     DEFAULT_MAX_ROWS,
                     DEFAULT_NOISE_SEED,
-                ));
-                attribute.push(attribute_noise_estimate(
-                    &s.table,
-                    &features,
-                    k,
-                    DEFAULT_MAX_ROWS,
-                    DEFAULT_NOISE_SEED,
-                ));
+                );
+                label.push(noise.label);
+                attribute.push(noise.attribute);
             }
             computed.push((format!("{seed}/k{k}/label"), fnv64_bits(&label)));
             computed.push((format!("{seed}/k{k}/attribute"), fnv64_bits(&attribute)));
@@ -1057,8 +1045,8 @@ fn excluded_id_column_no_longer_poisons_neighborhoods() {
         ),
     ])
     .unwrap();
-    let with_id = label_noise_estimate(&t, "class", &[], 2, 512, DEFAULT_NOISE_SEED);
-    let without_id = label_noise_estimate(&t, "class", &["id"], 2, 512, DEFAULT_NOISE_SEED);
+    let with_id = noise_estimates(&t, Some("class"), &[], 2, 512, DEFAULT_NOISE_SEED).label;
+    let without_id = noise_estimates(&t, Some("class"), &["id"], 2, 512, DEFAULT_NOISE_SEED).label;
     assert!(with_id > 0.5, "id-driven neighborhoods disagree: {with_id}");
     assert!(without_id < 0.2, "exclusion must drop the id: {without_id}");
     // The frozen reference has no exclusion path at all — same high
@@ -1087,7 +1075,7 @@ fn majority_ties_are_not_disagreements() {
         Column::from_str_values("class", label),
     ])
     .unwrap();
-    let live = label_noise_estimate(&t, "class", &[], 2, 512, DEFAULT_NOISE_SEED);
+    let live = noise_estimates(&t, Some("class"), &[], 2, 512, DEFAULT_NOISE_SEED).label;
     let frozen = reference::noise::label_noise_estimate(&t, "class", 2, 512);
     assert!((live - 1.0 / 3.0).abs() < 1e-12, "live was {live}");
     assert_eq!(frozen, 1.0, "reference counts every tied row as noisy");
@@ -1122,11 +1110,11 @@ fn sampling_sees_noise_beyond_the_row_cap() {
     ])
     .unwrap();
     let frozen = reference::noise::label_noise_estimate(&t, "class", 5, 512);
-    let live = label_noise_estimate(&t, "class", &[], 5, 512, DEFAULT_NOISE_SEED);
+    let live = noise_estimates(&t, Some("class"), &[], 5, 512, DEFAULT_NOISE_SEED).label;
     assert!(frozen < 0.05, "prefix-only estimate was {frozen}");
     assert!(live > 0.15, "sampled estimate was {live}");
     // The sample is seeded: the estimate is reproducible bit-for-bit.
-    let again = label_noise_estimate(&t, "class", &[], 5, 512, DEFAULT_NOISE_SEED);
+    let again = noise_estimates(&t, Some("class"), &[], 5, 512, DEFAULT_NOISE_SEED).label;
     assert_eq!(live.to_bits(), again.to_bits());
 }
 
@@ -1137,7 +1125,7 @@ fn attribute_noise_matches_reference_bits_within_cap() {
     let xs: Vec<f64> = (0..40).map(|i| (i as f64 * 1.7).sin() * 10.0).collect();
     let ys: Vec<f64> = (0..40).map(|i| ((i * 31) % 17) as f64).collect();
     let t = Table::new(vec![Column::from_f64("x", xs), Column::from_f64("y", ys)]).unwrap();
-    let live = attribute_noise_estimate(&t, &[], 5, 512, DEFAULT_NOISE_SEED);
+    let live = noise_estimates(&t, None, &[], 5, 512, DEFAULT_NOISE_SEED).attribute;
     let frozen = reference::noise::attribute_noise_estimate(&t, &[], 5, 512);
     assert_eq!(live.to_bits(), frozen.to_bits());
 }
