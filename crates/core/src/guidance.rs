@@ -8,8 +8,9 @@
 use crate::error::Result;
 use openbi_mining::preprocess::{impute_knn, impute_mean_mode};
 use openbi_quality::measure::duplicates::exact_duplicate_groups;
+use openbi_quality::measure::outliers::iqr_fences;
 use openbi_quality::QualityProfile;
-use openbi_table::{stats, Column, Table, Value};
+use openbi_table::{Column, Table, Value};
 
 /// One automated preprocessing step.
 #[derive(Debug, Clone, PartialEq)]
@@ -195,15 +196,16 @@ fn apply_step(step: &PreprocessingStep, table: &Table, protected: &[&str]) -> Re
                 .collect();
             for name in names {
                 let col = out.column(&name)?.clone();
-                let mut vals: Vec<f64> = col.to_f64_vec().into_iter().flatten().collect();
-                if vals.len() < 4 {
+                // The profile's fences: over the finite cells only.
+                let mut vals: Vec<f64> = col
+                    .to_f64_vec()
+                    .into_iter()
+                    .flatten()
+                    .filter(|x| x.is_finite())
+                    .collect();
+                let Some((lo, hi)) = iqr_fences(&mut vals) else {
                     continue;
-                }
-                vals.sort_by(f64::total_cmp);
-                let q1 = stats::quantile_sorted(&vals, 0.25);
-                let q3 = stats::quantile_sorted(&vals, 0.75);
-                let iqr = q3 - q1;
-                let (lo, hi) = (q1 - 1.5 * iqr, q3 + 1.5 * iqr);
+                };
                 let is_int = col.dtype() == openbi_table::DataType::Int;
                 for row in 0..col.len() {
                     if let Some(x) = col.get(row)?.as_f64() {
@@ -393,6 +395,30 @@ mod tests {
             .flatten()
             .fold(f64::NEG_INFINITY, f64::max);
         assert!(max < 30.0, "outlier clamped, max {max}");
+    }
+
+    /// The step clamps to the fences the profile measured: those of the
+    /// finite cells, so NaN cells neither move the fences nor get clamped.
+    #[test]
+    fn clamp_outliers_takes_the_profiles_fences() {
+        let nan = f64::NAN;
+        let t = Table::new(vec![Column::from_f64(
+            "x",
+            [1.0, 2.0, 3.0, 4.0, 5.0, 100.0, nan, nan, nan],
+        )])
+        .unwrap();
+        let profile = measure_profile(&t, &MeasureOptions::default());
+        let plan = PreprocessingPlan::recommend(&profile);
+        assert!(plan.steps.contains(&PreprocessingStep::ClampOutliers));
+        let out = PreprocessingPlan {
+            steps: vec![PreprocessingStep::ClampOutliers],
+        }
+        .apply(&t, &[])
+        .unwrap();
+        // Quartiles of 1, 2, 3, 4, 5, 100: 2.25 and 4.75, so hi = 8.5.
+        let x = out.column("x").unwrap().to_f64_vec();
+        assert_eq!(x[..6], [1.0, 2.0, 3.0, 4.0, 5.0, 8.5].map(Some));
+        assert!(x[6..].iter().all(|v| v.is_some_and(f64::is_nan)));
     }
 
     #[test]

@@ -594,46 +594,6 @@ impl DecisionTree {
         self.root = Some(self.build(data, &labeled, 0, fallback, &mut ctx, &presorted));
         Ok(())
     }
-
-    fn walk(&self, node: &Node, value_of: &impl Fn(usize) -> Option<f64>) -> usize {
-        match node {
-            Node::Leaf { class } => *class,
-            Node::NumericSplit {
-                attribute,
-                threshold,
-                missing_to,
-                children,
-            } => {
-                let child = match value_of(*attribute) {
-                    Some(v) => {
-                        if v <= *threshold {
-                            0
-                        } else {
-                            1
-                        }
-                    }
-                    None => *missing_to,
-                };
-                self.walk(&children[child], value_of)
-            }
-            Node::NominalSplit {
-                attribute,
-                missing_to,
-                children,
-                default,
-            } => match value_of(*attribute) {
-                Some(v) => {
-                    let idx = v as usize;
-                    if idx < children.len() {
-                        self.walk(&children[idx], value_of)
-                    } else {
-                        *default
-                    }
-                }
-                None => self.walk(&children[*missing_to], value_of),
-            },
-        }
-    }
 }
 
 impl Classifier for DecisionTree {
@@ -645,21 +605,12 @@ impl Classifier for DecisionTree {
         self.fit_view_with(data, &mut SplitMemo::for_tree())
     }
 
-    fn predict_row(&self, row: &[Option<f64>]) -> Result<usize> {
-        let root = self
-            .root
-            .as_ref()
-            .ok_or(MiningError::NotFitted("DecisionTree"))?;
-        Ok(self.walk(root, &|a| row.get(a).copied().flatten()))
-    }
-
     fn predict_view(&self, data: &InstancesView<'_>) -> Result<Vec<usize>> {
         let root = self
             .root
             .as_ref()
             .ok_or(MiningError::NotFitted("DecisionTree"))?;
-        // Iterative descent against pre-fetched column views: no closure
-        // dispatch or recursion per node on the prediction fast path.
+        // Iterative descent from the root against pre-fetched column views.
         let cols: Vec<_> = (0..data.n_attributes()).map(|a| data.col(a)).collect();
         Ok((0..data.len())
             .map(|i| {
@@ -716,6 +667,7 @@ impl Classifier for DecisionTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classify::predict_one;
     use crate::instances::{Attribute, Instances};
 
     fn xor_like() -> Instances {
@@ -794,19 +746,20 @@ mod tests {
         );
         let mut t = DecisionTree::new(3, 1);
         t.fit(&d).unwrap();
-        assert_eq!(t.predict_row(&[Some(2.0)]).unwrap(), 1);
-        assert_eq!(t.predict_row(&[Some(0.0)]).unwrap(), 0);
+        assert_eq!(predict_one(&t, &d, &[Some(2.0)]).unwrap(), 1);
+        assert_eq!(predict_one(&t, &d, &[Some(0.0)]).unwrap(), 0);
         // Unseen category falls back to the split default.
-        let p = t.predict_row(&[Some(99.0)]).unwrap();
+        let p = predict_one(&t, &d, &[Some(99.0)]).unwrap();
         assert!(p <= 1);
     }
 
     #[test]
     fn missing_routed_to_majority_branch() {
+        let d = xor_like();
         let mut t = DecisionTree::new(4, 1);
-        t.fit(&xor_like()).unwrap();
+        t.fit(&d).unwrap();
         // Just must not panic and must return a valid class.
-        let p = t.predict_row(&[None, None]).unwrap();
+        let p = predict_one(&t, &d, &[None, None]).unwrap();
         assert!(p < 2);
     }
 
@@ -833,12 +786,15 @@ mod tests {
         let mut t = DecisionTree::new(5, 1);
         t.fit(&d).unwrap();
         assert_eq!(t.node_count(), 1);
-        assert_eq!(t.predict_row(&[Some(9.0)]).unwrap(), 0);
+        assert_eq!(predict_one(&t, &d, &[Some(9.0)]).unwrap(), 0);
     }
 
     #[test]
     fn unfitted_errors() {
-        assert!(DecisionTree::new(3, 1).predict_row(&[Some(1.0)]).is_err());
+        assert!(matches!(
+            DecisionTree::new(3, 1).predict(&xor_like()),
+            Err(MiningError::NotFitted(_))
+        ));
     }
 
     /// Every memoised term has the bits of the expression the split search

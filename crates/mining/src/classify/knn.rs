@@ -102,7 +102,7 @@ impl Knn {
         }
     }
 
-    /// The shared prediction kernel; `query` yields the row's value for a
+    /// Predict one query row; `query` yields the row's value for a
     /// training attribute index.
     fn predict_query(&self, model: &Model, query: impl Fn(usize) -> Option<f64>) -> usize {
         let n = model.labels.len();
@@ -184,11 +184,6 @@ impl Classifier for Knn {
         Ok(())
     }
 
-    fn predict_row(&self, row: &[Option<f64>]) -> Result<usize> {
-        let model = self.model.as_ref().ok_or(MiningError::NotFitted("kNN"))?;
-        Ok(self.predict_query(model, |a| row.get(a).copied().flatten()))
-    }
-
     fn predict_view(&self, data: &InstancesView<'_>) -> Result<Vec<usize>> {
         let model = self.model.as_ref().ok_or(MiningError::NotFitted("kNN"))?;
         let cols: Vec<_> = (0..data.n_attributes()).map(|a| data.col(a)).collect();
@@ -208,6 +203,7 @@ impl Classifier for Knn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classify::predict_one;
     use crate::instances::{Attribute, Instances};
 
     fn clusters() -> Instances {
@@ -239,10 +235,11 @@ mod tests {
 
     #[test]
     fn classifies_clusters() {
+        let d = clusters();
         let mut m = Knn::new(3);
-        m.fit(&clusters()).unwrap();
-        assert_eq!(m.predict_row(&[Some(0.2), Some(0.3)]).unwrap(), 0);
-        assert_eq!(m.predict_row(&[Some(7.9), Some(8.1)]).unwrap(), 1);
+        m.fit(&d).unwrap();
+        assert_eq!(predict_one(&m, &d, &[Some(0.2), Some(0.3)]).unwrap(), 0);
+        assert_eq!(predict_one(&m, &d, &[Some(7.9), Some(8.1)]).unwrap(), 1);
     }
 
     #[test]
@@ -263,7 +260,7 @@ mod tests {
         m.fit(&d).unwrap();
         // Degenerates gracefully: all rows vote, inverse-distance
         // weighting still favors the near cluster.
-        assert_eq!(m.predict_row(&[Some(0.0), Some(0.0)]).unwrap(), 0);
+        assert_eq!(predict_one(&m, &d, &[Some(0.0), Some(0.0)]).unwrap(), 0);
     }
 
     #[test]
@@ -291,17 +288,18 @@ mod tests {
         );
         let mut m = Knn::new(1);
         m.fit(&d).unwrap();
-        assert_eq!(m.predict_row(&[Some(0.05), Some(0.0)]).unwrap(), 0);
-        assert_eq!(m.predict_row(&[Some(0.95), Some(0.0)]).unwrap(), 1);
+        assert_eq!(predict_one(&m, &d, &[Some(0.05), Some(0.0)]).unwrap(), 0);
+        assert_eq!(predict_one(&m, &d, &[Some(0.95), Some(0.0)]).unwrap(), 1);
     }
 
     #[test]
     fn missing_dimension_counts_as_max_distance() {
+        let d = clusters();
         let mut m = Knn::new(1);
-        m.fit(&clusters()).unwrap();
+        m.fit(&d).unwrap();
         // With x missing, y still identifies the cluster.
-        assert_eq!(m.predict_row(&[None, Some(0.1)]).unwrap(), 0);
-        assert_eq!(m.predict_row(&[None, Some(7.9)]).unwrap(), 1);
+        assert_eq!(predict_one(&m, &d, &[None, Some(0.1)]).unwrap(), 0);
+        assert_eq!(predict_one(&m, &d, &[None, Some(7.9)]).unwrap(), 1);
     }
 
     #[test]
@@ -317,12 +315,15 @@ mod tests {
         );
         let mut m = Knn::new(1);
         m.fit(&d).unwrap();
-        assert_eq!(m.predict_row(&[Some(0.0)]).unwrap(), 0);
-        assert_eq!(m.predict_row(&[Some(1.0)]).unwrap(), 1);
+        assert_eq!(predict_one(&m, &d, &[Some(0.0)]).unwrap(), 0);
+        assert_eq!(predict_one(&m, &d, &[Some(1.0)]).unwrap(), 1);
     }
 
     #[test]
     fn unfitted_errors() {
-        assert!(Knn::new(3).predict_row(&[Some(0.0)]).is_err());
+        assert!(matches!(
+            Knn::new(3).predict(&clusters()),
+            Err(MiningError::NotFitted(_))
+        ));
     }
 }

@@ -3,17 +3,18 @@
 //! one-hot encoded; missing values are mean/zero-imputed at encoding
 //! time (the model's documented missing-value strategy).
 //!
-//! Training reads the encoded rows in the layout each half of an epoch
-//! wants. The scores `z = x·w + b` come from a column-major numeric block,
-//! each weight applied to all rows at once, while every row still adds
-//! its terms in column order. Each nominal attribute keeps one code per
-//! row, the weight index of its hot column, so the exact `0·w` terms of
-//! the cold columns are never formed. The gradient reads a row-major
-//! block of the numeric cells plus a constant 1 for the bias, and adds
-//! each row's error to the weight of its hot columns only. Every weight
-//! gets the sum it got from the dense design matrix, term by term; only
-//! the sign of an all-zero score can differ, and `sigmoid(+0) ==
-//! sigmoid(-0)`.
+//! Training and prediction encode their view once into a `Design`, in
+//! the layout each reader wants. The scores `z = x·w + b` come from a
+//! column-major numeric block, each weight applied to all rows at once,
+//! while every row still adds its terms in column order; every epoch and
+//! [`Classifier::predict_view`] compute them with one function, `scores`.
+//! Each nominal attribute keeps one code per row, the weight index of
+//! its hot column, so the exact `0·w` terms of the cold columns are never
+//! formed. The gradient reads a row-major block of the numeric cells plus
+//! a constant 1 for the bias, and adds each row's error to the weight of
+//! its hot columns only. Every weight and every score gets the sum the
+//! dense design matrix gave it, term by term; only the sign of an
+//! all-zero score can differ, and `sigmoid(+0) == sigmoid(-0)`.
 
 use super::Classifier;
 use crate::error::{MiningError, Result};
@@ -88,29 +89,10 @@ impl Encoder {
         }
         Encoder { specs, width }
     }
-
-    fn encode(&self, row: &[Option<f64>]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.width);
-        for (a, spec) in self.specs.iter().enumerate() {
-            let v = row.get(a).copied().flatten();
-            match spec {
-                EncSpec::Numeric { mean, std } => {
-                    // Missing numeric → mean → encodes to 0.
-                    out.push((v.unwrap_or(*mean) - mean) / std);
-                }
-                EncSpec::Nominal { cardinality } => {
-                    let hot = v.map(|x| x as usize).filter(|i| i < cardinality);
-                    for i in 0..*cardinality {
-                        out.push(if Some(i) == hot { 1.0 } else { 0.0 });
-                    }
-                }
-            }
-        }
-        out
-    }
 }
 
-/// The encoded training rows, laid out for the epoch loop.
+/// The encoded rows of a view, laid out for the epoch loop and for
+/// prediction.
 struct Design {
     rows: usize,
     /// One block per attribute, in encoding order.
@@ -131,7 +113,9 @@ enum Block {
 }
 
 impl Design {
-    /// Encode `data` exactly as [`Encoder::encode`] encodes each row.
+    /// Encode `data`: a numeric cell is z-scored, a missing one encodes
+    /// to 0 (its mean); a nominal cell is hot in its code's column, and a
+    /// missing or unknown code has no hot column.
     fn new(encoder: &Encoder, data: &InstancesView<'_>) -> Design {
         let rows = data.len();
         let mut blocks = Vec::with_capacity(encoder.specs.len());
@@ -189,6 +173,29 @@ impl Design {
     }
 }
 
+/// The score `z = x·w` of every design row, bias excluded, into `z`.
+fn scores(design: &Design, w: &[f64], z: &mut [f64]) {
+    // `-0.0` is the neutral element `f64: Sum` starts from.
+    z.fill(-0.0);
+    for block in &design.blocks {
+        match block {
+            Block::Numeric { weight, values } => {
+                let wi = w[*weight];
+                for (zr, xi) in z.iter_mut().zip(values) {
+                    *zr += xi * wi;
+                }
+            }
+            Block::OneHot { hot } => {
+                for (zr, h) in z.iter_mut().zip(hot) {
+                    if let Some(j) = h {
+                        *zr += w[*j];
+                    }
+                }
+            }
+        }
+    }
+}
+
 fn sigmoid(z: f64) -> f64 {
     if z >= 0.0 {
         1.0 / (1.0 + (-z).exp())
@@ -210,31 +217,6 @@ impl LogisticRegression {
         }
     }
 
-    /// Per-class probabilities for a row (softmax over OvR scores).
-    pub fn probabilities(&self, row: &[Option<f64>]) -> Result<Vec<f64>> {
-        let enc = self
-            .encoder
-            .as_ref()
-            .ok_or(MiningError::NotFitted("LogisticRegression"))?;
-        let x = enc.encode(row);
-        let mut probs: Vec<f64> = self
-            .weights
-            .iter()
-            .map(|w| {
-                let z: f64 =
-                    x.iter().zip(w.iter()).map(|(xi, wi)| xi * wi).sum::<f64>() + w[w.len() - 1];
-                sigmoid(z)
-            })
-            .collect();
-        let total: f64 = probs.iter().sum();
-        if total > 0.0 {
-            for p in &mut probs {
-                *p /= total;
-            }
-        }
-        Ok(probs)
-    }
-
     /// Train one one-vs-rest weight vector (bias last) against the 0/1
     /// targets `y`.
     fn train_class(&self, design: &Design, y: &[f64], width: usize) -> Vec<f64> {
@@ -246,25 +228,7 @@ impl LogisticRegression {
         let mut grad = vec![0.0f64; width + 1];
         let mut numeric_grad = vec![0.0f64; stride];
         for _ in 0..self.epochs {
-            // `-0.0` is the neutral element `f64: Sum` starts from.
-            z.fill(-0.0);
-            for block in &design.blocks {
-                match block {
-                    Block::Numeric { weight, values } => {
-                        let wi = w[*weight];
-                        for (zr, xi) in z.iter_mut().zip(values) {
-                            *zr += xi * wi;
-                        }
-                    }
-                    Block::OneHot { hot } => {
-                        for (zr, h) in z.iter_mut().zip(hot) {
-                            if let Some(j) = h {
-                                *zr += w[*j];
-                            }
-                        }
-                    }
-                }
-            }
+            scores(design, &w, &mut z);
             for ((e, zr), yr) in err.iter_mut().zip(&z).zip(y) {
                 *e = sigmoid(zr + w[width]) - yr;
             }
@@ -330,14 +294,38 @@ impl Classifier for LogisticRegression {
         Ok(())
     }
 
-    fn predict_row(&self, row: &[Option<f64>]) -> Result<usize> {
-        let probs = self.probabilities(row)?;
+    fn predict_view(&self, data: &InstancesView<'_>) -> Result<Vec<usize>> {
+        let enc = self
+            .encoder
+            .as_ref()
+            .ok_or(MiningError::NotFitted("LogisticRegression"))?;
+        let design = Design::new(enc, data);
+        let k = self.weights.len();
+        // Row-major: each row's one-vs-rest sigmoids, in class order.
+        let mut probs = vec![0.0f64; design.rows * k];
+        let mut z = vec![0.0f64; design.rows];
+        for (c, w) in self.weights.iter().enumerate() {
+            scores(&design, w, &mut z);
+            for (p, zr) in probs.iter_mut().skip(c).step_by(k).zip(&z) {
+                *p = sigmoid(zr + w[enc.width]);
+            }
+        }
         Ok(probs
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .unwrap_or(0))
+            .chunks_mut(k)
+            .map(|p| {
+                let total: f64 = p.iter().sum();
+                if total > 0.0 {
+                    for x in p.iter_mut() {
+                        *x /= total;
+                    }
+                }
+                p.iter()
+                    .enumerate()
+                    .max_by(|a, b| a.1.total_cmp(b.1))
+                    .map(|(i, _)| i)
+                    .unwrap_or(0)
+            })
+            .collect())
     }
 
     fn model_size(&self) -> usize {
@@ -348,6 +336,7 @@ impl Classifier for LogisticRegression {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classify::predict_one;
     use crate::instances::{Attribute, Instances};
 
     fn linearly_separable() -> Instances {
@@ -393,15 +382,6 @@ mod tests {
     }
 
     #[test]
-    fn probabilities_sum_to_one() {
-        let mut m = LogisticRegression::new(50, 0.5);
-        m.fit(&linearly_separable()).unwrap();
-        let p = m.probabilities(&[Some(0.5), Some(0.5)]).unwrap();
-        assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        assert_eq!(p.len(), 2);
-    }
-
-    #[test]
     fn multiclass_one_vs_rest() {
         let mut rows = Vec::new();
         let mut labels = Vec::new();
@@ -425,9 +405,9 @@ mod tests {
         );
         let mut m = LogisticRegression::new(400, 0.5);
         m.fit(&d).unwrap();
-        assert_eq!(m.predict_row(&[Some(0.1)]).unwrap(), 0);
-        assert_eq!(m.predict_row(&[Some(5.1)]).unwrap(), 1);
-        assert_eq!(m.predict_row(&[Some(10.2)]).unwrap(), 2);
+        assert_eq!(predict_one(&m, &d, &[Some(0.1)]).unwrap(), 0);
+        assert_eq!(predict_one(&m, &d, &[Some(5.1)]).unwrap(), 1);
+        assert_eq!(predict_one(&m, &d, &[Some(10.2)]).unwrap(), 2);
     }
 
     #[test]
@@ -443,16 +423,17 @@ mod tests {
         );
         let mut m = LogisticRegression::new(300, 0.5);
         m.fit(&d).unwrap();
-        assert_eq!(m.predict_row(&[Some(0.0)]).unwrap(), 0);
-        assert_eq!(m.predict_row(&[Some(1.0)]).unwrap(), 1);
+        assert_eq!(predict_one(&m, &d, &[Some(0.0)]).unwrap(), 0);
+        assert_eq!(predict_one(&m, &d, &[Some(1.0)]).unwrap(), 1);
     }
 
     #[test]
     fn missing_numeric_mean_imputed() {
+        let d = linearly_separable();
         let mut m = LogisticRegression::new(100, 0.5);
-        m.fit(&linearly_separable()).unwrap();
+        m.fit(&d).unwrap();
         // Must not panic; prediction with all-missing is prior-like.
-        let p = m.predict_row(&[None, None]).unwrap();
+        let p = predict_one(&m, &d, &[None, None]).unwrap();
         assert!(p < 2);
     }
 
@@ -464,8 +445,9 @@ mod tests {
 
     #[test]
     fn unfitted_errors() {
-        assert!(LogisticRegression::new(10, 0.1)
-            .predict_row(&[Some(1.0)])
-            .is_err());
+        assert!(matches!(
+            LogisticRegression::new(10, 0.1).predict(&linearly_separable()),
+            Err(MiningError::NotFitted(_))
+        ));
     }
 }

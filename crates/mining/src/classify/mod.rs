@@ -2,7 +2,8 @@
 //!
 //! All classifiers implement [`Classifier`] and tolerate missing feature
 //! values — a hard requirement here, since the quality experiments train
-//! on deliberately degraded data. [`AlgorithmSpec`] is the serializable
+//! on deliberately degraded data. Each predicts through one kernel,
+//! [`Classifier::predict_view`]. [`AlgorithmSpec`] is the serializable
 //! recipe used by the experiment runner and the knowledge base.
 
 pub mod decision_tree;
@@ -26,10 +27,10 @@ use crate::instances::{Instances, InstancesView};
 
 /// A trainable classifier over [`Instances`].
 ///
-/// The primary entry points are the view-based `fit_view` /
-/// `predict_view`, which train and predict straight off borrowed
-/// [`InstancesView`]s (the zero-copy cross-validation path); the owned
-/// `fit` / `predict` are thin bridges over a whole-dataset view.
+/// `fit_view` and `predict_view` are each classifier's one training and
+/// one prediction kernel: they read borrowed [`InstancesView`]s (the
+/// zero-copy cross-validation path), column by column. The owned `fit` /
+/// `predict` are thin bridges over a whole-dataset view.
 pub trait Classifier {
     /// Short algorithm name (e.g. `"NaiveBayes"`).
     fn name(&self) -> &'static str;
@@ -42,22 +43,9 @@ pub trait Classifier {
         self.fit_view(&data.view())
     }
 
-    /// Predict the class index of one feature row (cells in the fitted
-    /// view's attribute order).
-    fn predict_row(&self, row: &[Option<f64>]) -> Result<usize>;
-
-    /// Predict every row of a view. The default gathers each row into a
-    /// reused scratch buffer; columnar classifiers override this with
-    /// batch kernels.
-    fn predict_view(&self, data: &InstancesView<'_>) -> Result<Vec<usize>> {
-        let mut buf = Vec::with_capacity(data.n_attributes());
-        (0..data.len())
-            .map(|i| {
-                data.fill_row(i, &mut buf);
-                self.predict_row(&buf)
-            })
-            .collect()
-    }
+    /// Predict the class index of every row of a view whose attributes
+    /// are those of the fitted view, in the same order.
+    fn predict_view(&self, data: &InstancesView<'_>) -> Result<Vec<usize>>;
 
     /// Predict every row of a dataset.
     fn predict(&self, data: &Instances) -> Result<Vec<usize>> {
@@ -193,9 +181,92 @@ impl std::fmt::Display for AlgorithmSpec {
     }
 }
 
+/// Predict one hand-made row (cells in `fixture`'s attribute order)
+/// through a one-row dataset with `fixture`'s attributes.
+#[cfg(test)]
+pub(crate) fn predict_one(
+    model: &dyn Classifier,
+    fixture: &Instances,
+    row: &[Option<f64>],
+) -> Result<usize> {
+    let query = Instances::from_rows(
+        fixture.attributes.clone(),
+        vec![row.to_vec()],
+        vec![None],
+        fixture.class_names.clone(),
+    );
+    Ok(model.predict(&query)?[0])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instances::{AttrKind, Attribute};
+
+    /// Three numeric attributes around one nominal, three classes, with
+    /// missing cells and unlabeled rows.
+    fn mixed() -> Instances {
+        let numeric = |name: &str| Attribute {
+            name: name.into(),
+            kind: AttrKind::Numeric,
+        };
+        let rows = (0..90)
+            .map(|i| {
+                let c = (i % 3) as f64;
+                vec![
+                    (i % 7 != 0).then(|| 2.0 * c + ((i * 37) % 11) as f64 * 0.3),
+                    Some(((i * 13) % 17) as f64),
+                    (i % 5 != 1).then(|| ((i + i % 3) % 4) as f64),
+                    Some(c - ((i * 7) % 5) as f64 * 0.4),
+                ]
+            })
+            .collect();
+        Instances::from_rows(
+            vec![
+                numeric("x"),
+                numeric("y"),
+                Attribute {
+                    name: "colour".into(),
+                    kind: AttrKind::Nominal(vec!["p".into(), "q".into(), "r".into(), "s".into()]),
+                },
+                numeric("z"),
+            ],
+            rows,
+            (0..90).map(|i| (i % 11 != 4).then_some(i % 3)).collect(),
+            vec!["a".into(), "b".into(), "c".into()],
+        )
+    }
+
+    /// Every classifier fitted on a row- and attribute-masked view, and
+    /// predicting another masked view, gives the predictions and model
+    /// size of fitting and predicting the views' materialized copies.
+    #[test]
+    fn masked_views_predict_like_their_materialized_copies() {
+        let d = mixed();
+        let view = d.view();
+        let train_rows: Vec<usize> = (0..d.len()).filter(|i| i % 4 != 1).collect();
+        let test_rows: Vec<usize> = (0..d.len()).rev().filter(|i| i % 4 == 1).collect();
+        // Reordered, with attribute 1 left out.
+        let attrs = [3usize, 0, 2];
+        let train_view = view.select_rows(&train_rows);
+        let train = train_view.select_attrs(&attrs);
+        let test_view = view.select_rows(&test_rows);
+        let test = test_view.select_attrs(&attrs);
+        let (train_copy, test_copy) = (train.materialize(), test.materialize());
+        let mut classes = std::collections::BTreeSet::new();
+        for spec in AlgorithmSpec::standard_suite() {
+            let mut masked = spec.build();
+            masked.fit_view(&train).unwrap();
+            let mut copied = spec.build();
+            copied.fit(&train_copy).unwrap();
+            let predicted = masked.predict_view(&test).unwrap();
+            assert_eq!(predicted.len(), test_rows.len(), "{spec}");
+            assert_eq!(predicted, copied.predict(&test_copy).unwrap(), "{spec}");
+            assert_eq!(masked.model_size(), copied.model_size(), "{spec}");
+            classes.extend(predicted);
+        }
+        assert_eq!(classes.len(), 3, "the learners tell the classes apart");
+    }
 
     #[test]
     fn suite_contains_baselines_and_learners() {

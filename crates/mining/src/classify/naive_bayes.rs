@@ -17,7 +17,7 @@ use crate::instances::{AttrKind, InstancesView};
 enum AttrModel {
     /// Per-class `(mean, variance)`.
     Gaussian(Vec<(f64, f64)>),
-    /// Per-class smoothed log-probabilities per category.
+    /// Per-class smoothed log-likelihood of each category.
     Categorical(Vec<Vec<f64>>),
 }
 
@@ -40,21 +40,6 @@ impl NaiveBayes {
     fn gaussian_log_pdf(x: f64, mean: f64, var: f64) -> f64 {
         let var = var.max(MIN_VARIANCE);
         -0.5 * ((x - mean) * (x - mean) / var + var.ln() + (2.0 * std::f64::consts::PI).ln())
-    }
-
-    /// Per-class log-posterior (unnormalized) of a row.
-    pub fn log_posteriors(&self, row: &[Option<f64>]) -> Result<Vec<f64>> {
-        if !self.fitted {
-            return Err(MiningError::NotFitted("NaiveBayes"));
-        }
-        let mut scores = self.log_priors.clone();
-        for (a, model) in self.models.iter().enumerate() {
-            let Some(v) = row.get(a).copied().flatten() else {
-                continue;
-            };
-            Self::add_likelihood(model, v, &mut scores);
-        }
-        Ok(scores)
     }
 
     #[inline]
@@ -183,11 +168,6 @@ impl Classifier for NaiveBayes {
         Ok(())
     }
 
-    fn predict_row(&self, row: &[Option<f64>]) -> Result<usize> {
-        let scores = self.log_posteriors(row)?;
-        Ok(Self::argmax(&scores))
-    }
-
     fn predict_view(&self, data: &InstancesView<'_>) -> Result<Vec<usize>> {
         if !self.fitted {
             return Err(MiningError::NotFitted("NaiveBayes"));
@@ -195,8 +175,8 @@ impl Classifier for NaiveBayes {
         let n = data.len();
         let k = self.log_priors.len();
         // Row-major score matrix seeded with the priors; one pass per
-        // attribute column keeps the per-(row, class) addition order
-        // identical to log_posteriors().
+        // attribute column adds each row's present cells' log-likelihoods
+        // in attribute order, missing cells skipped.
         let mut scores = Vec::with_capacity(n * k);
         for _ in 0..n {
             scores.extend_from_slice(&self.log_priors);
@@ -229,6 +209,7 @@ impl Classifier for NaiveBayes {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classify::predict_one;
     use crate::instances::{Attribute, Instances};
 
     fn gaussian_data() -> Instances {
@@ -255,10 +236,11 @@ mod tests {
 
     #[test]
     fn separates_gaussian_classes() {
+        let d = gaussian_data();
         let mut m = NaiveBayes::new();
-        m.fit(&gaussian_data()).unwrap();
-        assert_eq!(m.predict_row(&[Some(0.5)]).unwrap(), 0);
-        assert_eq!(m.predict_row(&[Some(9.5)]).unwrap(), 1);
+        m.fit(&d).unwrap();
+        assert_eq!(predict_one(&m, &d, &[Some(0.5)]).unwrap(), 0);
+        assert_eq!(predict_one(&m, &d, &[Some(9.5)]).unwrap(), 1);
     }
 
     #[test]
@@ -270,7 +252,7 @@ mod tests {
         }
         let mut m = NaiveBayes::new();
         m.fit(&d).unwrap();
-        assert_eq!(m.predict_row(&[None]).unwrap(), 0);
+        assert_eq!(predict_one(&m, &d, &[None]).unwrap(), 0);
     }
 
     #[test]
@@ -292,8 +274,8 @@ mod tests {
         );
         let mut m = NaiveBayes::new();
         m.fit(&d).unwrap();
-        assert_eq!(m.predict_row(&[Some(0.0)]).unwrap(), 0);
-        assert_eq!(m.predict_row(&[Some(1.0)]).unwrap(), 1);
+        assert_eq!(predict_one(&m, &d, &[Some(0.0)]).unwrap(), 0);
+        assert_eq!(predict_one(&m, &d, &[Some(1.0)]).unwrap(), 1);
     }
 
     #[test]
@@ -303,22 +285,17 @@ mod tests {
         m.fit(&d).unwrap();
         let batch = m.predict(&d).unwrap();
         for (i, &p) in batch.iter().enumerate() {
-            assert_eq!(p, m.predict_row(&d.row_vec(i)).unwrap());
-        }
-    }
-
-    #[test]
-    fn log_posteriors_are_finite() {
-        let mut m = NaiveBayes::new();
-        m.fit(&gaussian_data()).unwrap();
-        for p in m.log_posteriors(&[Some(5.0)]).unwrap() {
-            assert!(p.is_finite());
+            let row: Vec<Option<f64>> = (0..d.n_attributes()).map(|a| d.get(i, a)).collect();
+            assert_eq!(p, predict_one(&m, &d, &row).unwrap());
         }
     }
 
     #[test]
     fn unfitted_errors() {
-        assert!(NaiveBayes::new().predict_row(&[Some(1.0)]).is_err());
+        assert!(matches!(
+            NaiveBayes::new().predict(&gaussian_data()),
+            Err(MiningError::NotFitted(_))
+        ));
     }
 
     #[test]

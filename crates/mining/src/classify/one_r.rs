@@ -134,13 +134,6 @@ impl Classifier for OneR {
         Ok(())
     }
 
-    fn predict_row(&self, row: &[Option<f64>]) -> Result<usize> {
-        let rule = self.rule.as_ref().ok_or(MiningError::NotFitted("OneR"))?;
-        let v = row.get(rule.attribute).copied().flatten();
-        let b = Self::bucket_of(rule.binning, rule.bucket_class.len(), v);
-        Ok(*rule.bucket_class.get(b).unwrap_or(&rule.default))
-    }
-
     fn predict_view(&self, data: &InstancesView<'_>) -> Result<Vec<usize>> {
         let rule = self.rule.as_ref().ok_or(MiningError::NotFitted("OneR"))?;
         let col = data.col(rule.attribute);
@@ -163,6 +156,7 @@ impl Classifier for OneR {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classify::predict_one;
     use crate::instances::{Attribute, Instances};
 
     /// Attribute 1 perfectly predicts the class; attribute 0 is noise.
@@ -224,8 +218,8 @@ mod tests {
         );
         let mut m = OneR::new();
         m.fit(&d).unwrap();
-        assert_eq!(m.predict_row(&[Some(0.0)]).unwrap(), 0);
-        assert_eq!(m.predict_row(&[Some(1.0)]).unwrap(), 1);
+        assert_eq!(predict_one(&m, &d, &[Some(0.0)]).unwrap(), 0);
+        assert_eq!(predict_one(&m, &d, &[Some(1.0)]).unwrap(), 1);
     }
 
     #[test]
@@ -233,12 +227,15 @@ mod tests {
         let mut m = OneR::new();
         m.fit(&data()).unwrap();
         // Missing signal → majority of missing bucket (empty → default).
-        let p = m.predict_row(&[Some(1.0), None]).unwrap();
+        let p = predict_one(&m, &data(), &[Some(1.0), None]).unwrap();
         assert!(p < 2);
     }
 
     #[test]
     fn unfitted_errors() {
-        assert!(OneR::new().predict_row(&[Some(0.0)]).is_err());
+        assert!(matches!(
+            OneR::new().predict(&data()),
+            Err(MiningError::NotFitted(_))
+        ));
     }
 }

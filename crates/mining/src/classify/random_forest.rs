@@ -88,25 +88,12 @@ impl Classifier for RandomForest {
         Ok(())
     }
 
-    fn predict_row(&self, row: &[Option<f64>]) -> Result<usize> {
-        if self.forest.is_empty() {
-            return Err(MiningError::NotFitted("RandomForest"));
-        }
-        let preds = self
-            .forest
-            .iter()
-            .map(|t| t.predict_row(row))
-            .collect::<Result<Vec<usize>>>()?;
-        Ok(self.vote(&preds))
-    }
-
     fn predict_view(&self, data: &InstancesView<'_>) -> Result<Vec<usize>> {
         if self.forest.is_empty() {
             return Err(MiningError::NotFitted("RandomForest"));
         }
         // Each tree predicts the whole view in one columnar pass; votes
-        // are tallied per row in tree order (same counts as the old
-        // row-at-a-time loop).
+        // are tallied per row in tree order.
         let per_tree = self
             .forest
             .iter()
@@ -196,8 +183,9 @@ mod tests {
 
     #[test]
     fn unfitted_errors() {
-        assert!(RandomForest::new(3, 4, 0)
-            .predict_row(&[Some(0.0)])
-            .is_err());
+        assert!(matches!(
+            RandomForest::new(3, 4, 0).predict(&data()),
+            Err(MiningError::NotFitted(_))
+        ));
     }
 }

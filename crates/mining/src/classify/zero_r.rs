@@ -32,10 +32,6 @@ impl Classifier for ZeroR {
         Ok(())
     }
 
-    fn predict_row(&self, _row: &[Option<f64>]) -> Result<usize> {
-        self.majority.ok_or(MiningError::NotFitted("ZeroR"))
-    }
-
     fn predict_view(&self, data: &InstancesView<'_>) -> Result<Vec<usize>> {
         let majority = self.majority.ok_or(MiningError::NotFitted("ZeroR"))?;
         Ok(vec![majority; data.len()])
@@ -45,6 +41,7 @@ impl Classifier for ZeroR {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classify::predict_one;
     use crate::instances::{AttrKind, Attribute, Instances};
 
     fn data() -> Instances {
@@ -63,7 +60,7 @@ mod tests {
     fn predicts_majority() {
         let mut m = ZeroR::new();
         m.fit(&data()).unwrap();
-        assert_eq!(m.predict_row(&[None]).unwrap(), 1);
+        assert_eq!(predict_one(&m, &data(), &[None]).unwrap(), 1);
         assert_eq!(m.predict(&data()).unwrap(), vec![1, 1, 1]);
     }
 
@@ -71,7 +68,7 @@ mod tests {
     fn unfitted_errors() {
         let m = ZeroR::new();
         assert!(matches!(
-            m.predict_row(&[Some(0.0)]),
+            predict_one(&m, &data(), &[Some(0.0)]),
             Err(MiningError::NotFitted(_))
         ));
     }

@@ -365,19 +365,6 @@ impl Instances {
         }
     }
 
-    /// Copy one row's cells into `buf` (cleared first).
-    pub fn fill_row(&self, row: usize, buf: &mut Vec<Option<f64>>) {
-        buf.clear();
-        buf.extend(self.columns.iter().map(|c| cell(c.values[row])));
-    }
-
-    /// One row as owned cells (prefer [`Instances::fill_row`] in loops).
-    pub fn row_vec(&self, row: usize) -> Vec<Option<f64>> {
-        let mut buf = Vec::with_capacity(self.n_attributes());
-        self.fill_row(row, &mut buf);
-        buf
-    }
-
     /// A borrowed whole-dataset view (zero-copy fold building starts
     /// here: chain [`InstancesView::select_rows`] /
     /// [`InstancesView::select_attrs`]).
@@ -544,15 +531,6 @@ impl<'a> InstancesView<'a> {
         ColumnView {
             values: &self.data.columns[self.base_attr(attr)].values,
             rows: self.rows.as_deref(),
-        }
-    }
-
-    /// Copy one view-local row's cells into `buf` (cleared first).
-    pub fn fill_row(&self, row: usize, buf: &mut Vec<Option<f64>>) {
-        buf.clear();
-        let base = self.base_row(row);
-        for j in 0..self.n_attributes() {
-            buf.push(cell(self.data.columns[self.base_attr(j)].values[base]));
         }
     }
 
@@ -940,9 +918,15 @@ mod tests {
     }
 
     #[test]
-    fn from_rows_round_trips_through_row_vec() {
+    fn from_rows_round_trips_through_columns() {
         let inst = Instances::from_table(&table(), Some("class"), &["id"]).unwrap();
-        let rows: Vec<Vec<Option<f64>>> = (0..inst.len()).map(|i| inst.row_vec(i)).collect();
+        let rows: Vec<Vec<Option<f64>>> = (0..inst.len())
+            .map(|i| {
+                (0..inst.n_attributes())
+                    .map(|a| inst.col(a).get(i))
+                    .collect()
+            })
+            .collect();
         let rebuilt = Instances::from_rows(
             inst.attributes.clone(),
             rows,

@@ -92,7 +92,8 @@ fn split(pairs: &[(f64, usize)], n_classes: usize, cuts: &mut Vec<f64>, depth: u
 
 /// Compute the MDL-accepted cut points of one numeric column against a
 /// class column. Returns cuts in ascending order (possibly empty: the
-/// attribute carries no MDL-justified signal).
+/// attribute carries no MDL-justified signal). A NaN or ±∞ cell is
+/// missing, as in [`Instances`](crate::Instances): its row is skipped.
 pub fn mdl_cut_points(table: &Table, column: &str, target: &str) -> Result<Vec<f64>> {
     let col = table.column(column)?;
     if !col.dtype().is_numeric() {
@@ -101,13 +102,14 @@ pub fn mdl_cut_points(table: &Table, column: &str, target: &str) -> Result<Vec<f
         )));
     }
     let cats = table.column(target)?.categories();
-    // Class ids in first-seen order over the rows with a value, so the
-    // entropy terms keep their summation order.
+    // Class ids in first-seen order over the rows with a finite value, so
+    // the entropy terms keep their summation order.
     let mut ids: Vec<Option<usize>> = vec![None; cats.len()];
     let mut n_classes = 0;
     let mut pairs: Vec<(f64, usize)> = Vec::new();
     for i in 0..table.n_rows() {
-        let (Some(v), Some(code)) = (col.get(i)?.as_f64(), cats.code(i)) else {
+        let v = col.get(i)?.as_f64().filter(|v| v.is_finite());
+        let (Some(v), Some(code)) = (v, cats.code(i)) else {
             continue;
         };
         let id = *ids[code].get_or_insert_with(|| {
@@ -131,6 +133,7 @@ pub fn mdl_cut_points(table: &Table, column: &str, target: &str) -> Result<Vec<f
 /// Replace a numeric column with MDL-supervised bin labels
 /// `"{name}=b{i}"`. Columns with no accepted cut become a single bucket
 /// `"{name}=b1"` (documented behavior: the attribute is uninformative).
+/// A null, NaN or ±∞ cell gets a null label.
 pub fn mdl_discretize_column(table: &Table, column: &str, target: &str) -> Result<Table> {
     let cuts = mdl_cut_points(table, column, target)?;
     let col = table.column(column)?;
@@ -138,7 +141,7 @@ pub fn mdl_discretize_column(table: &Table, column: &str, target: &str) -> Resul
         .to_f64_vec()
         .iter()
         .map(|v| {
-            v.map(|x| {
+            v.filter(|x| x.is_finite()).map(|x| {
                 let bin = cuts.iter().filter(|&&c| x >= c).count();
                 format!("{column}=b{}", bin + 1)
             })
@@ -152,7 +155,7 @@ pub fn mdl_discretize_column(table: &Table, column: &str, target: &str) -> Resul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use openbi_table::Value;
+    use openbi_table::{Rng, Value};
 
     /// x < 10 → "a", x in [10,20) → "b", x >= 20 → "a" again.
     fn three_region_table() -> Table {
@@ -210,6 +213,59 @@ mod tests {
         ])
         .unwrap();
         assert!(mdl_cut_points(&t, "x", "class").is_err());
+    }
+
+    /// 60 rows: class `a` on x = 0…29, class `b` on 30 `b_cell` cells.
+    fn one_class_with_values(b_cell: Option<f64>) -> Table {
+        Table::new(vec![
+            Column::from_opt_f64(
+                "x",
+                (0..60).map(|i| if i < 30 { Some(f64::from(i)) } else { b_cell }),
+            ),
+            Column::from_str_values("class", (0..60).map(|i| if i < 30 { "a" } else { "b" })),
+        ])
+        .unwrap()
+    }
+
+    #[test]
+    fn non_finite_cells_are_missing() {
+        // With the `b` cells null, only class `a` has values.
+        assert!(mdl_cut_points(&one_class_with_values(None), "x", "class").is_err());
+        for b_cell in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let t = one_class_with_values(Some(b_cell));
+            assert!(mdl_cut_points(&t, "x", "class").is_err(), "{b_cell}");
+            assert!(mdl_discretize_column(&t, "x", "class").is_err(), "{b_cell}");
+        }
+    }
+
+    #[test]
+    fn non_finite_cells_cut_and_label_like_nulls() {
+        let base = three_region_table();
+        let xs = base.column("x").unwrap().to_f64_vec();
+        let rows = Rng::seed_from_u64(2012).sample_indices(xs.len(), 18);
+        let (mut non_finite, mut null) = (xs.clone(), xs);
+        for (n, &r) in rows.iter().enumerate() {
+            non_finite[r] = Some([f64::NAN, f64::INFINITY, f64::NEG_INFINITY][n % 3]);
+            null[r] = None;
+        }
+        let with_x = |x: Vec<Option<f64>>| {
+            let mut t = base.clone();
+            t.replace_column(Column::from_opt_f64("x", x)).unwrap();
+            t
+        };
+        let (non_finite, null) = (with_x(non_finite), with_x(null));
+        let cuts = mdl_cut_points(&non_finite, "x", "class").unwrap();
+        assert_eq!(cuts.len(), 2, "cuts {cuts:?}");
+        assert_eq!(cuts, mdl_cut_points(&null, "x", "class").unwrap());
+        let labelled = mdl_discretize_column(&non_finite, "x", "class").unwrap();
+        assert_eq!(
+            labelled,
+            mdl_discretize_column(&null, "x", "class").unwrap()
+        );
+        for r in 0..labelled.n_rows() {
+            let is_null = labelled.get("x", r).unwrap() == Value::Null;
+            assert_eq!(is_null, rows.contains(&r), "row {r}");
+        }
     }
 
     #[test]

@@ -14,10 +14,24 @@ pub fn outlier_ratio(table: &Table, exclude: &[&str]) -> f64 {
     ratio_from_packed(&pack_numeric(table, exclude))
 }
 
-/// The outlier-ratio kernel over already-packed columns: one sort per
-/// column into a reused scratch buffer, 1.5×IQR fences.
-pub(crate) fn ratio_from_packed(packed: &[PackedColumn]) -> f64 {
+/// Tukey's 1.5×IQR fences `(lo, hi)` of a column's present cells, which
+/// it sorts in place; `None` for fewer than 4 cells. The cells must be
+/// finite: a NaN or ±∞ cell is missing and is left out by the caller.
+pub fn iqr_fences(cells: &mut [f64]) -> Option<(f64, f64)> {
     const K: f64 = 1.5;
+    if cells.len() < 4 {
+        return None;
+    }
+    cells.sort_by(f64::total_cmp);
+    let q1 = stats::quantile_sorted(cells, 0.25);
+    let q3 = stats::quantile_sorted(cells, 0.75);
+    let iqr = q3 - q1;
+    Some((q1 - K * iqr, q3 + K * iqr))
+}
+
+/// The outlier-ratio kernel over already-packed columns: one sort per
+/// column into a reused scratch buffer, [`iqr_fences`].
+pub(crate) fn ratio_from_packed(packed: &[PackedColumn]) -> f64 {
     let mut outliers = 0usize;
     let mut cells = 0usize;
     let mut scratch: Vec<f64> = Vec::new();
@@ -25,15 +39,9 @@ pub(crate) fn ratio_from_packed(packed: &[PackedColumn]) -> f64 {
         scratch.clear();
         scratch.extend(col.values.iter().filter(|v| !v.is_nan()));
         cells += scratch.len();
-        if scratch.len() < 4 {
+        let Some((lo, hi)) = iqr_fences(&mut scratch) else {
             continue;
-        }
-        scratch.sort_by(f64::total_cmp);
-        let q1 = stats::quantile_sorted(&scratch, 0.25);
-        let q3 = stats::quantile_sorted(&scratch, 0.75);
-        let iqr = q3 - q1;
-        let lo = q1 - K * iqr;
-        let hi = q3 + K * iqr;
+        };
         outliers += scratch.iter().filter(|&&x| x < lo || x > hi).count();
     }
     if cells == 0 {
