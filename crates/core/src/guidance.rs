@@ -209,7 +209,9 @@ fn apply_step(step: &PreprocessingStep, table: &Table, protected: &[&str]) -> Re
                 let is_int = col.dtype() == openbi_table::DataType::Int;
                 for row in 0..col.len() {
                     if let Some(x) = col.get(row)?.as_f64() {
-                        if x < lo || x > hi {
+                        // A NaN or ±∞ cell is missing to the profile, so
+                        // it stays as it is.
+                        if x.is_finite() && (x < lo || x > hi) {
                             let clamped = x.clamp(lo, hi);
                             let v = if is_int {
                                 Value::Int(clamped.round() as i64)
@@ -398,10 +400,14 @@ mod tests {
     }
 
     /// The step clamps to the fences the profile measured: those of the
-    /// finite cells, so NaN cells neither move the fences nor get clamped.
+    /// finite cells, so NaN and ±∞ cells neither move the fences nor get
+    /// clamped, and completeness does not change.
     #[test]
     fn clamp_outliers_takes_the_profiles_fences() {
-        let nan = f64::NAN;
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let clamp = PreprocessingPlan {
+            steps: vec![PreprocessingStep::ClampOutliers],
+        };
         let t = Table::new(vec![Column::from_f64(
             "x",
             [1.0, 2.0, 3.0, 4.0, 5.0, 100.0, nan, nan, nan],
@@ -410,15 +416,23 @@ mod tests {
         let profile = measure_profile(&t, &MeasureOptions::default());
         let plan = PreprocessingPlan::recommend(&profile);
         assert!(plan.steps.contains(&PreprocessingStep::ClampOutliers));
-        let out = PreprocessingPlan {
-            steps: vec![PreprocessingStep::ClampOutliers],
-        }
-        .apply(&t, &[])
-        .unwrap();
+        let out = clamp.apply(&t, &[]).unwrap();
         // Quartiles of 1, 2, 3, 4, 5, 100: 2.25 and 4.75, so hi = 8.5.
         let x = out.column("x").unwrap().to_f64_vec();
         assert_eq!(x[..6], [1.0, 2.0, 3.0, 4.0, 5.0, 8.5].map(Some));
         assert!(x[6..].iter().all(|v| v.is_some_and(f64::is_nan)));
+
+        let t = Table::new(vec![Column::from_f64(
+            "x",
+            [1.0, 2.0, 3.0, 4.0, 5.0, 100.0, inf, -inf],
+        )])
+        .unwrap();
+        let out = clamp.apply(&t, &[]).unwrap();
+        let x = out.column("x").unwrap().to_f64_vec();
+        assert_eq!(x, [1.0, 2.0, 3.0, 4.0, 5.0, 8.5, inf, -inf].map(Some));
+        let completeness = |t: &Table| measure_profile(t, &MeasureOptions::default()).completeness;
+        assert_eq!(completeness(&t), 0.75);
+        assert_eq!(completeness(&out), 0.75);
     }
 
     #[test]

@@ -2,18 +2,25 @@
 //! numeric attributes, multiway splits on nominal attributes, missing
 //! values routed to the most populated branch.
 //!
-//! Split search is columnar. Each numeric attribute is sorted once per
-//! fit, and every node derives its sorted value lists by filtering its
+//! The kernel fits rows with integer multiplicities: a row of
+//! multiplicity w enters every count as w, exactly as w copies of it
+//! would. A single tree fits each labeled row once; a random forest fits
+//! the distinct rows of each bootstrap sample, each as often as it was
+//! drawn.
+//!
+//! Split search is columnar. Each numeric attribute of a training view is
+//! sorted once (`Presorted`; a forest sorts once for all of its trees),
+//! and every node derives its sorted value lists by filtering its
 //! parent's, so no node re-sorts. Class counts accumulate as exact
 //! integers, so every entropy and split-info term is a function of two
-//! integers; a `SplitMemo` computes each such term once, with the same
-//! expression, and serves it by its integer arguments afterwards (terms
-//! with a denominator above the memo's cap are always computed). A
-//! random forest lends one memo to all of its trees.
+//! integers; every fit reads such terms from one process-wide table,
+//! which computes each with the same expression once per process (terms
+//! with a denominator above the table's cap are always computed).
 
-use super::Classifier;
+use super::{check_attributes, Classifier};
 use crate::error::{MiningError, Result};
 use crate::instances::{AttrKind, InstancesView};
+use std::sync::OnceLock;
 
 #[derive(Debug, Clone)]
 enum Node {
@@ -68,20 +75,27 @@ pub struct DecisionTree {
     /// random forest for feature subsampling). `None` = all attributes.
     pub feature_subset: Option<Vec<usize>>,
     root: Option<Node>,
+    /// Attribute count of the fitted view.
+    n_attributes: usize,
 }
 
-/// Largest denominator a forest's memo stores. The trees of one forest
-/// fit bootstrap samples of one size, so every denominator recurs in every
-/// tree. Each of the memo's two tables then holds at most about 512²/2
-/// values (1 MiB), however large the training set; terms with a larger
-/// denominator are computed directly.
-const FOREST_MEMO_MAX_TOTAL: usize = 512;
+/// Largest denominator the split-term table stores. Each of its two
+/// tables then holds at most Σ_{t≤512}(t+1) values (about 1 MiB), however
+/// large the training set; terms with a larger denominator are computed
+/// directly.
+const TERM_TABLE_MAX_TOTAL: usize = 512;
 
-/// Largest denominator the memo of a single tree fit stores. In one tree
-/// a large denominator occurs only at the few nodes near the root, where
-/// its terms are seldom met twice, so filling its rows would cost more
-/// than the lookups save.
-const TREE_MEMO_MAX_TOTAL: usize = 128;
+/// One split-term table: row `t` holds the term for every numerator in
+/// `0..=t`, filled whole the first time any fit in the process reads
+/// denominator `t`. A term is a pure function of its two integers, so a
+/// row has the same bits whichever thread fills it.
+type TermTable = [OnceLock<Box<[f64]>>; TERM_TABLE_MAX_TOTAL + 1];
+
+/// [`plogp`]`(c, t)` at `PLOGP[t][c]`.
+static PLOGP: TermTable = [const { OnceLock::new() }; TERM_TABLE_MAX_TOTAL + 1];
+
+/// [`binary_split_info`]`(left_n, n)` at `SPLIT_INFO[n][left_n]`.
+static SPLIT_INFO: TermTable = [const { OnceLock::new() }; TERM_TABLE_MAX_TOTAL + 1];
 
 /// `-p·log2 p` for `p = c / t`: one term of an entropy.
 fn plogp(c: usize, t: usize) -> f64 {
@@ -96,121 +110,117 @@ fn binary_split_info(left_n: usize, n: usize) -> f64 {
     -p_l * p_l.log2() - (1.0 - p_l) * (1.0 - p_l).log2()
 }
 
-/// Memoised split-search terms, keyed by their exact integer arguments.
+/// Row `t` of `table`, filled by `term` on first use; `None` above the
+/// cap. Slots no split search reads (a zero count, an empty side) hold
+/// whatever the expression gives there.
+fn term_row(
+    table: &'static TermTable,
+    t: usize,
+    term: fn(usize, usize) -> f64,
+) -> Option<&'static [f64]> {
+    let row = table.get(t)?;
+    Some(row.get_or_init(|| (0..=t).map(|c| term(c, t)).collect()))
+}
+
+/// Entropy of class counts that sum to `total`: the [`plogp`] terms of the
+/// non-zero counts, summed in order.
+fn entropy(counts: impl Iterator<Item = usize>, total: usize) -> f64 {
+    if total == 0 {
+        return 0.0;
+    }
+    let counts = counts.filter(|&c| c > 0);
+    match term_row(&PLOGP, total, plogp) {
+        Some(row) => counts.map(|c| row[c]).sum(),
+        None => counts.map(|c| plogp(c, total)).sum(),
+    }
+}
+
+/// [`binary_split_info`]`(left_n, n)`.
+fn split_info(left_n: usize, n: usize) -> f64 {
+    match term_row(&SPLIT_INFO, n, binary_split_info) {
+        Some(row) => row[left_n],
+        None => binary_split_info(left_n, n),
+    }
+}
+
+/// A training view prepared for tree fits: each row's label, and the
+/// present cells of each presorted numeric attribute in `(value, row)`
+/// order under `total_cmp`. A forest prepares its view once and fits all
+/// of its trees on it.
 ///
-/// A slot is filled on first use by the same expression the direct path
-/// evaluates ([`plogp`], [`binary_split_info`]), so a lookup returns the
-/// very bits a recomputation would. Rows are allocated per denominator on
-/// first use, and denominators above `max_total` bypass the tables, so
-/// memory stays bounded by a constant. NaN marks an empty slot: every
-/// stored term is finite, since `0 < c ≤ t` and `0 < left_n < n`.
-pub(crate) struct SplitMemo {
-    /// [`TREE_MEMO_MAX_TOTAL`] or [`FOREST_MEMO_MAX_TOTAL`].
-    max_total: usize,
-    /// `plogp[t][c]`.
-    plogp: Vec<Vec<f64>>,
-    /// `split_info[n][left_n]`.
-    split_info: Vec<Vec<f64>>,
+/// Tie order among equal values never influences the chosen split: equal
+/// values admit no threshold between them, and class counts accumulate
+/// as exact integers. Every present value is finite, since
+/// [`Instances`](crate::instances::Instances) stores a NaN or ±∞ cell
+/// as missing.
+pub(crate) struct Presorted<'a> {
+    data: &'a InstancesView<'a>,
+    labels: Vec<Option<usize>>,
+    /// `(row, value)` per present cell of each presorted attribute;
+    /// `None` for the others.
+    sorted: Vec<Option<Vec<(usize, f64)>>>,
 }
 
-/// Row `t` of a memo table, allocated on first use; `None` above
-/// `max_total`.
-fn memo_row(table: &mut Vec<Vec<f64>>, t: usize, max_total: usize) -> Option<&mut [f64]> {
-    if t > max_total {
-        return None;
-    }
-    if table.len() <= t {
-        table.resize_with(t + 1, Vec::new);
-    }
-    let row = &mut table[t];
-    if row.is_empty() {
-        *row = vec![f64::NAN; t + 1];
-    }
-    Some(row)
-}
-
-/// The value in `slot`, computed by `f` if the slot is still empty.
-fn cached(slot: &mut f64, f: impl FnOnce() -> f64) -> f64 {
-    if slot.is_nan() {
-        *slot = f();
-    }
-    *slot
-}
-
-impl SplitMemo {
-    fn with_max_total(max_total: usize) -> SplitMemo {
-        SplitMemo {
-            max_total,
-            plogp: Vec::new(),
-            split_info: Vec::new(),
+impl<'a> Presorted<'a> {
+    /// Sort each numeric attribute among `attrs` once.
+    pub(crate) fn new(data: &'a InstancesView<'a>, attrs: &[usize]) -> Presorted<'a> {
+        let mut sorted = vec![None; data.n_attributes()];
+        for &a in attrs {
+            if data.attribute(a).kind != AttrKind::Numeric {
+                continue;
+            }
+            let col = data.col(a);
+            let mut order: Vec<(usize, f64)> = (0..data.len())
+                .filter_map(|i| col.get(i).map(|v| (i, v)))
+                .collect();
+            order.sort_unstable_by(|x, y| x.1.total_cmp(&y.1).then(x.0.cmp(&y.0)));
+            sorted[a] = Some(order);
+        }
+        Presorted {
+            data,
+            labels: (0..data.len()).map(|i| data.label(i)).collect(),
+            sorted,
         }
     }
 
-    /// The memo a single tree fit owns.
-    fn for_tree() -> SplitMemo {
-        SplitMemo::with_max_total(TREE_MEMO_MAX_TOTAL)
-    }
-
-    /// The memo a forest lends to all of its trees.
-    pub(crate) fn for_forest() -> SplitMemo {
-        SplitMemo::with_max_total(FOREST_MEMO_MAX_TOTAL)
-    }
-
-    /// Entropy of class counts that sum to `total`: the [`plogp`] terms of
-    /// the non-zero counts, summed in order.
-    fn entropy(&mut self, counts: impl Iterator<Item = usize>, total: usize) -> f64 {
-        if total == 0 {
-            return 0.0;
-        }
-        let counts = counts.filter(|&c| c > 0);
-        match memo_row(&mut self.plogp, total, self.max_total) {
-            Some(row) => counts
-                .map(|c| cached(&mut row[c], || plogp(c, total)))
-                .sum(),
-            None => counts.map(|c| plogp(c, total)).sum(),
-        }
-    }
-
-    /// [`binary_split_info`]`(left_n, n)`.
-    fn split_info(&mut self, left_n: usize, n: usize) -> f64 {
-        match memo_row(&mut self.split_info, n, self.max_total) {
-            Some(row) => cached(&mut row[left_n], || binary_split_info(left_n, n)),
-            None => binary_split_info(left_n, n),
-        }
+    /// The class of a row a fit reads: a row of positive multiplicity,
+    /// which is labeled.
+    fn class(&self, row: usize) -> usize {
+        self.labels[row].expect("every row a fit reads is labeled")
     }
 }
 
 /// Per-fit state threaded through the recursive build.
 ///
-/// Each numeric attribute is sorted once per fit; every node then derives
-/// its own sorted value lists by filtering its parent's lists with a
-/// membership stamp (a stable filter preserves sort order), so no node
-/// ever re-sorts and per-level work shrinks with the partitions. Sort
-/// order is `(value, row)` under `total_cmp`. Tie order among equal
-/// values never influences the chosen split: equal values admit no
-/// threshold between them, and class counts accumulate as exact
-/// integers. Every present value is finite, since
-/// [`Instances`](crate::instances::Instances) stores a NaN or ±∞ cell
-/// as missing.
-struct FitCtx<'m> {
-    /// Label cache, one slot per view row.
-    labels: Vec<Option<usize>>,
+/// Every node derives its own sorted value lists by filtering its
+/// parent's lists with a membership stamp (a stable filter preserves
+/// sort order), so no node ever re-sorts and per-level work shrinks with
+/// the partitions. A node holds each of its rows once, with the row's
+/// multiplicity.
+struct FitCtx<'t> {
+    train: &'t Presorted<'t>,
+    /// Multiplicity of each view row.
+    weights: &'t [usize],
+    /// The attributes split search reads.
+    attrs: Vec<usize>,
     /// Node-membership stamps (one slot per view row; bumping the
     /// counter invalidates the previous node's marks without an O(n)
     /// clear).
     stamp: Vec<u32>,
     counter: u32,
-    /// Scratch: the node's `(value, label)` pairs in ascending value
-    /// order (reused across attributes and nodes).
-    vals: Vec<(f64, Option<usize>)>,
-    /// Scratch for the local-sort fallback path.
-    sort_buf: Vec<(f64, usize)>,
+    /// Scratch: the node's `(value, class, multiplicity)` triples in
+    /// ascending value order (reused across attributes and nodes).
+    vals: Vec<(f64, usize, usize)>,
     /// Scratch class-count accumulators.
     total_counts: Vec<usize>,
     left_counts: Vec<usize>,
-    /// Entropy and split-info terms (owned by the fit, or lent by a
-    /// forest).
-    memo: &'m mut SplitMemo,
+}
+
+impl FitCtx<'_> {
+    /// Total multiplicity of `rows`.
+    fn weight(&self, rows: &[usize]) -> usize {
+        rows.iter().map(|&i| self.weights[i]).sum()
+    }
 }
 
 struct Split {
@@ -230,6 +240,7 @@ impl DecisionTree {
             min_leaf: min_leaf.max(1),
             feature_subset: None,
             root: None,
+            n_attributes: 0,
         }
     }
 
@@ -243,113 +254,105 @@ impl DecisionTree {
         self.root.as_ref().map(Node::depth).unwrap_or(0)
     }
 
-    fn majority(counts: &[usize], fallback: usize) -> usize {
+    /// The attributes split search reads in a view of `n_attributes`.
+    fn attributes(&self, n_attributes: usize) -> Vec<usize> {
+        match &self.feature_subset {
+            Some(subset) => subset.clone(),
+            None => (0..n_attributes).collect(),
+        }
+    }
+
+    /// The class with the most rows, the last one on a tie. Every node
+    /// holds labeled rows of positive multiplicity, so some count is
+    /// positive.
+    fn majority(counts: &[usize]) -> usize {
         counts
             .iter()
             .enumerate()
             .max_by_key(|(_, c)| **c)
-            .filter(|(_, c)| **c > 0)
             .map(|(i, _)| i)
-            .unwrap_or(fallback)
+            .unwrap_or(0)
     }
 
-    /// Scan every candidate split and return the winner. Only `(attr,
-    /// threshold, gain_ratio)` is tracked during the scan; the winning
-    /// partition index vectors are rebuilt once at the end, instead of on
-    /// every improvement. The comparison sequence (attribute order, then
-    /// ascending value order, strict `>` on gain ratio) matches the
-    /// row-major reference, so the chosen split is identical.
+    /// Scan every candidate split of a node of total multiplicity `n` and
+    /// return the winner. Only `(attr, threshold, gain_ratio)` is tracked
+    /// during the scan; the winning partition index vectors are rebuilt
+    /// once at the end, instead of on every improvement. The comparison
+    /// sequence (attribute order, then ascending value order, strict `>`
+    /// on gain ratio) matches the row-major reference, so the chosen split
+    /// is identical.
     fn best_split(
         &self,
-        data: &InstancesView<'_>,
         rows: &[usize],
+        n: usize,
         parent_entropy: f64,
         ctx: &mut FitCtx<'_>,
         sorted: &[Option<Vec<(usize, f64)>>],
     ) -> Option<Split> {
-        let n = rows.len() as f64;
+        let n = n as f64;
         // (gain_ratio, attribute, Some(threshold) | None = nominal).
         let mut best: Option<(f64, usize, Option<f64>)> = None;
-        let attrs: Vec<usize> = match &self.feature_subset {
-            Some(subset) => subset.clone(),
-            None => (0..data.n_attributes()).collect(),
-        };
         let FitCtx {
-            labels,
+            train,
+            weights,
+            attrs,
             vals,
-            sort_buf,
             total_counts,
             left_counts,
-            memo,
             ..
         } = ctx;
+        let data = train.data;
         let n_classes = data.n_classes();
-        for a in attrs {
+        for &a in attrs.iter() {
             let col = data.col(a);
             match &data.attribute(a).kind {
                 AttrKind::Numeric => {
-                    // The node's present `(value, label)` pairs in
-                    // ascending value order, straight from the node's
-                    // filtered sort list (local sort only as a fallback
-                    // if a list is missing). Buffers are reused across
+                    // The node's present `(value, class, multiplicity)`
+                    // triples in ascending value order, straight from the
+                    // node's filtered sort list. Buffers are reused across
                     // attributes and nodes.
+                    let list = sorted[a]
+                        .as_ref()
+                        .expect("every numeric attribute of the fit is presorted");
                     vals.clear();
-                    match &sorted[a] {
-                        Some(list) => {
-                            vals.extend(list.iter().map(|&(i, v)| (v, labels[i])));
-                        }
-                        None => {
-                            sort_buf.clear();
-                            sort_buf
-                                .extend(rows.iter().filter_map(|&i| col.get(i).map(|v| (v, i))));
-                            sort_buf
-                                .sort_unstable_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
-                            vals.extend(sort_buf.iter().map(|&(v, i)| (v, labels[i])));
-                        }
-                    };
-                    if vals.len() < 2 * self.min_leaf {
-                        continue;
-                    }
-                    let present_n = vals.len();
-                    let present_frac = present_n as f64 / n;
+                    vals.extend(list.iter().map(|&(i, v)| (v, train.class(i), weights[i])));
                     // Prefix class counts for O(1) split evaluation.
                     total_counts.clear();
                     total_counts.resize(n_classes, 0);
-                    for (_, l) in vals.iter() {
-                        if let Some(l) = l {
-                            total_counts[*l] += 1;
-                        }
+                    for &(_, l, w) in vals.iter() {
+                        total_counts[l] += w;
                     }
-                    let total_labeled: usize = total_counts.iter().sum();
+                    let present_n: usize = total_counts.iter().sum();
+                    if present_n < 2 * self.min_leaf {
+                        continue;
+                    }
+                    let present_frac = present_n as f64 / n;
                     left_counts.clear();
                     left_counts.resize(n_classes, 0);
-                    let mut left_labeled = 0usize;
-                    let mut i = 0;
-                    while i + 1 < vals.len() {
-                        if let Some(l) = vals[i].1 {
-                            left_counts[l] += 1;
-                            left_labeled += 1;
-                        }
-                        let (v, _) = vals[i];
-                        let (next_v, _) = vals[i + 1];
-                        i += 1;
+                    let mut left_n = 0usize;
+                    for pair in vals.windows(2) {
+                        let (v, l, w) = pair[0];
+                        let next_v = pair[1].0;
+                        left_n += w;
+                        left_counts[l] += w;
+                        // Copies of a row share its value, so no
+                        // threshold ever falls between them.
                         if v == next_v {
                             continue;
                         }
-                        let left_n = i;
-                        let right_n = present_n - i;
+                        let right_n = present_n - left_n;
                         if left_n < self.min_leaf || right_n < self.min_leaf {
                             continue;
                         }
                         // Right-side counts are `total - left`, taken
                         // without materializing a slice.
-                        let left_entropy = memo.entropy(left_counts.iter().copied(), left_labeled);
-                        let right_entropy = memo.entropy(
+                        let left_entropy = entropy(left_counts.iter().copied(), left_n);
+                        let right_entropy = entropy(
                             total_counts
                                 .iter()
                                 .zip(left_counts.iter())
                                 .map(|(t, l)| t - l),
-                            total_labeled - left_labeled,
+                            right_n,
                         );
                         let child_entropy = (left_n as f64 / present_n as f64) * left_entropy
                             + (right_n as f64 / present_n as f64) * right_entropy;
@@ -357,7 +360,7 @@ impl DecisionTree {
                         if gain <= 1e-12 {
                             continue;
                         }
-                        let split_info = memo.split_info(left_n, present_n);
+                        let split_info = split_info(left_n, present_n);
                         let gain_ratio = gain / split_info.max(1e-9);
                         if best.map(|(g, _, _)| gain_ratio > g).unwrap_or(true) {
                             best = Some((gain_ratio, a, Some((v + next_v) / 2.0)));
@@ -375,13 +378,12 @@ impl DecisionTree {
                     let mut present_n = 0usize;
                     for &i in rows {
                         if let Some(v) = col.get(i) {
-                            present_n += 1;
+                            let w = weights[i];
+                            present_n += w;
                             let idx = v as usize;
                             if idx < dict.len() {
-                                sizes[idx] += 1;
-                                if let Some(l) = labels[i] {
-                                    counts[idx][l] += 1;
-                                }
+                                sizes[idx] += w;
+                                counts[idx][train.class(i)] += w;
                             }
                         }
                     }
@@ -400,7 +402,7 @@ impl DecisionTree {
                             continue;
                         }
                         let frac = *s as f64 / present_n as f64;
-                        child_entropy += frac * memo.entropy(c.iter().copied(), c.iter().sum());
+                        child_entropy += frac * entropy(c.iter().copied(), *s);
                         split_info -= frac * frac.log2();
                     }
                     let gain = present_frac * (parent_entropy - child_entropy);
@@ -466,55 +468,56 @@ impl DecisionTree {
 
     fn build(
         &self,
-        data: &InstancesView<'_>,
         rows: &[usize],
         depth: usize,
-        fallback: usize,
         ctx: &mut FitCtx<'_>,
         parent_sorted: &[Option<Vec<(usize, f64)>>],
     ) -> Node {
-        let mut counts = vec![0usize; data.n_classes()];
+        let mut counts = vec![0usize; ctx.train.data.n_classes()];
+        let mut n = 0;
         for &i in rows {
-            if let Some(l) = ctx.labels[i] {
-                counts[l] += 1;
-            }
+            let w = ctx.weights[i];
+            n += w;
+            counts[ctx.train.class(i)] += w;
         }
-        let majority = Self::majority(&counts, fallback);
+        let majority = Self::majority(&counts);
         let non_zero_classes = counts.iter().filter(|&&c| c > 0).count();
-        if depth >= self.max_depth || rows.len() < 2 * self.min_leaf || non_zero_classes <= 1 {
+        if depth >= self.max_depth || n < 2 * self.min_leaf || non_zero_classes <= 1 {
             return Node::Leaf { class: majority };
         }
         // Derive this node's sorted lists by stable-filtering the parent's
         // with a membership stamp — order is preserved, nothing re-sorts,
-        // and leaves (handled above) never pay for it.
+        // and leaves (handled above) never pay for it. At the root the
+        // parent's lists are the training view's presort, which this
+        // narrows to the fit's rows and attributes.
         ctx.counter += 1;
         for &i in rows {
             ctx.stamp[i] = ctx.counter;
         }
         let (stamp, counter) = (&ctx.stamp, ctx.counter);
-        let sorted: Vec<Option<Vec<(usize, f64)>>> = parent_sorted
-            .iter()
-            .map(|o| {
-                o.as_ref().map(|list| {
+        let mut sorted: Vec<Option<Vec<(usize, f64)>>> = vec![None; parent_sorted.len()];
+        for &a in &ctx.attrs {
+            if let Some(list) = &parent_sorted[a] {
+                sorted[a] = Some(
                     list.iter()
                         .copied()
                         .filter(|&(i, _)| stamp[i] == counter)
-                        .collect()
-                })
-            })
-            .collect();
-        let parent_entropy = ctx
-            .memo
-            .entropy(counts.iter().copied(), counts.iter().sum());
-        let Some(split) = self.best_split(data, rows, parent_entropy, ctx, &sorted) else {
+                        .collect(),
+                );
+            }
+        }
+        let parent_entropy = entropy(counts.iter().copied(), n);
+        let Some(split) = self.best_split(rows, n, parent_entropy, ctx, &sorted) else {
             return Node::Leaf { class: majority };
         };
-        // Missing rows follow the most populated partition.
+        // Missing rows follow the most populated partition (by total
+        // multiplicity, the last one on a tie).
         let missing_to = split
             .partitions
             .iter()
+            .map(|p| ctx.weight(p))
             .enumerate()
-            .max_by_key(|(_, p)| p.len())
+            .max_by_key(|&(_, w)| w)
             .map(|(i, _)| i)
             .unwrap_or(0);
         let children: Vec<Node> = split
@@ -529,7 +532,7 @@ impl DecisionTree {
                 if child_rows.is_empty() {
                     Node::Leaf { class: majority }
                 } else {
-                    self.build(data, &child_rows, depth + 1, majority, ctx, &sorted)
+                    self.build(&child_rows, depth + 1, ctx, &sorted)
                 }
             })
             .collect();
@@ -549,50 +552,24 @@ impl DecisionTree {
         }
     }
 
-    /// [`Classifier::fit_view`] with a caller-provided term memo, so a
-    /// forest can share one memo across its trees.
-    pub(crate) fn fit_view_with(
-        &mut self,
-        data: &InstancesView<'_>,
-        memo: &mut SplitMemo,
-    ) -> Result<()> {
-        let labeled = data.labeled_indices();
-        if labeled.is_empty() {
-            return Err(MiningError::InvalidDataset(
-                "DecisionTree needs labeled rows".into(),
-            ));
-        }
-        let fallback = data.majority_class();
-        let n = data.len();
-        let labels: Vec<Option<usize>> = (0..n).map(|i| data.label(i)).collect();
-        let attrs: Vec<usize> = match &self.feature_subset {
-            Some(subset) => subset.clone(),
-            None => (0..data.n_attributes()).collect(),
-        };
-        // One sort per numeric attribute per fit; every node reuses it.
-        let mut presorted: Vec<Option<Vec<(usize, f64)>>> = vec![None; data.n_attributes()];
-        for &a in &attrs {
-            if data.attribute(a).kind != AttrKind::Numeric {
-                continue;
-            }
-            let col = data.col(a);
-            let mut order: Vec<(usize, f64)> =
-                (0..n).filter_map(|i| col.get(i).map(|v| (i, v))).collect();
-            order.sort_unstable_by(|x, y| x.1.total_cmp(&y.1).then(x.0.cmp(&y.0)));
-            presorted[a] = Some(order);
-        }
+    /// The one fitting kernel: fit on `train`, row `i` counted
+    /// `weights[i]` times. A row of multiplicity 0 is left out; every
+    /// other row must be labeled, and at least one must be.
+    pub(crate) fn fit_weighted(&mut self, train: &Presorted<'_>, weights: &[usize]) {
+        let rows: Vec<usize> = (0..weights.len()).filter(|&i| weights[i] > 0).collect();
+        let n_attributes = train.data.n_attributes();
         let mut ctx = FitCtx {
-            labels,
-            stamp: vec![0u32; n],
+            train,
+            weights,
+            attrs: self.attributes(n_attributes),
+            stamp: vec![0u32; weights.len()],
             counter: 0,
             vals: Vec::new(),
-            sort_buf: Vec::new(),
             total_counts: Vec::new(),
             left_counts: Vec::new(),
-            memo,
         };
-        self.root = Some(self.build(data, &labeled, 0, fallback, &mut ctx, &presorted));
-        Ok(())
+        self.root = Some(self.build(&rows, 0, &mut ctx, &train.sorted));
+        self.n_attributes = n_attributes;
     }
 }
 
@@ -602,7 +579,19 @@ impl Classifier for DecisionTree {
     }
 
     fn fit_view(&mut self, data: &InstancesView<'_>) -> Result<()> {
-        self.fit_view_with(data, &mut SplitMemo::for_tree())
+        if data.labeled_indices().is_empty() {
+            return Err(MiningError::InvalidDataset(
+                "DecisionTree needs labeled rows".into(),
+            ));
+        }
+        let train = Presorted::new(data, &self.attributes(data.n_attributes()));
+        let weights: Vec<usize> = train
+            .labels
+            .iter()
+            .map(|l| usize::from(l.is_some()))
+            .collect();
+        self.fit_weighted(&train, &weights);
+        Ok(())
     }
 
     fn predict_view(&self, data: &InstancesView<'_>) -> Result<Vec<usize>> {
@@ -610,6 +599,7 @@ impl Classifier for DecisionTree {
             .root
             .as_ref()
             .ok_or(MiningError::NotFitted("DecisionTree"))?;
+        check_attributes("DecisionTree", self.n_attributes, data)?;
         // Iterative descent from the root against pre-fetched column views.
         let cols: Vec<_> = (0..data.n_attributes()).map(|a| data.col(a)).collect();
         Ok((0..data.len())
@@ -624,7 +614,7 @@ impl Classifier for DecisionTree {
                             missing_to,
                             children,
                         } => {
-                            let child = match cols.get(*attribute).and_then(|c| c.get(i)) {
+                            let child = match cols[*attribute].get(i) {
                                 // Keep the reference's `<=` comparison.
                                 Some(v) => {
                                     if v <= *threshold {
@@ -642,7 +632,7 @@ impl Classifier for DecisionTree {
                             missing_to,
                             children,
                             default,
-                        } => match cols.get(*attribute).and_then(|c| c.get(i)) {
+                        } => match cols[*attribute].get(i) {
                             Some(v) => {
                                 let idx = v as usize;
                                 if idx < children.len() {
@@ -669,6 +659,7 @@ mod tests {
     use super::*;
     use crate::classify::predict_one;
     use crate::instances::{Attribute, Instances};
+    use openbi_table::Rng;
 
     fn xor_like() -> Instances {
         // Class = (x > 3.5) XOR (y > 3.5): needs depth-2 splits. The
@@ -797,56 +788,144 @@ mod tests {
         ));
     }
 
-    /// Every memoised term has the bits of the expression the split search
-    /// evaluated before the memo existed, for every integer argument up to
-    /// and past each cap, both when a slot is filled and when it is read.
+    /// A seeded dataset with missing cells, a nominal attribute that also
+    /// holds codes outside its dictionary, and unlabeled rows.
+    fn seeded(seed: u64) -> Instances {
+        let mut rng = Rng::seed_from_u64(seed);
+        let n = 90;
+        let mut rows = Vec::new();
+        let mut labels = Vec::new();
+        for _ in 0..n {
+            let class = rng.below(3);
+            let cell = |present: bool, v: f64| present.then_some(v);
+            let x = cell(rng.below(6) != 0, class as f64 + rng.below(5) as f64 * 0.5);
+            let y = cell(rng.below(8) != 0, rng.below(7) as f64);
+            let code = if rng.below(12) == 0 {
+                7
+            } else {
+                (class + rng.below(2)) % 4
+            };
+            let colour = cell(rng.below(5) != 0, code as f64);
+            let z = cell(true, (rng.below(9) as f64 - class as f64).abs());
+            rows.push(vec![x, y, colour, z]);
+            labels.push((rng.below(10) != 0).then_some(class));
+        }
+        let numeric = |name: &str| Attribute {
+            name: name.into(),
+            kind: AttrKind::Numeric,
+        };
+        Instances::from_rows(
+            vec![
+                numeric("x"),
+                numeric("y"),
+                Attribute {
+                    name: "colour".into(),
+                    kind: AttrKind::Nominal(vec!["p".into(), "q".into(), "r".into(), "s".into()]),
+                },
+                numeric("z"),
+            ],
+            rows,
+            labels,
+            vec!["a".into(), "b".into(), "c".into()],
+        )
+    }
+
+    /// A tree fitted on a bootstrap sample's distinct rows with their
+    /// multiplicities is the tree fitted on the sample's duplicated-row
+    /// view: the same structure, predictions and node count.
+    #[test]
+    fn multiplicities_fit_like_duplicated_rows() {
+        for seed in 0..24u64 {
+            let d = seeded(seed);
+            let view = d.view();
+            let labeled = view.labeled_indices();
+            let mut rng = Rng::seed_from_u64(seed ^ 0x5eed);
+            let sample: Vec<usize> = (0..labeled.len())
+                .map(|_| labeled[rng.below(labeled.len())])
+                .collect();
+            let mut weights = vec![0usize; d.len()];
+            for &i in &sample {
+                weights[i] += 1;
+            }
+            let subset = (seed % 3 == 0).then(|| rng.sample_indices(4, 2));
+            let (max_depth, min_leaf) = (2 + seed as usize % 6, 1 + seed as usize % 3);
+            let mut counted = DecisionTree::new(max_depth, min_leaf);
+            counted.feature_subset = subset.clone();
+            let all: Vec<usize> = (0..d.n_attributes()).collect();
+            counted.fit_weighted(&Presorted::new(&view, &all), &weights);
+            let mut copied = DecisionTree::new(max_depth, min_leaf);
+            copied.feature_subset = subset;
+            copied.fit_view(&view.select_rows(&sample)).unwrap();
+            assert_eq!(
+                format!("{:?}", counted.root),
+                format!("{:?}", copied.root),
+                "seed {seed}"
+            );
+            assert_eq!(counted.predict(&d).unwrap(), copied.predict(&d).unwrap());
+            assert_eq!(counted.node_count(), copied.node_count());
+            assert!(counted.node_count() > 1, "seed {seed}: the tree splits");
+        }
+    }
+
+    /// Every term the table serves has the bits of the expression the split
+    /// search evaluated before the table existed, for every integer
+    /// argument up to and past the cap, with the rows first filled by
+    /// several threads at once.
     #[test]
     fn memoised_terms_match_the_direct_expressions() {
-        for mut memo in [SplitMemo::for_tree(), SplitMemo::for_forest()] {
-            let cap = memo.max_total;
-            for pass in ["fill", "hit"] {
-                for t in 1..=FOREST_MEMO_MAX_TOTAL + 8 {
-                    for c in 1..=t {
-                        let p = c as f64 / t as f64;
-                        let direct = -p * p.log2();
-                        // A one-count entropy is that count's term alone.
-                        let memoised = memo.entropy(std::iter::once(c), t);
-                        assert_eq!(
-                            memoised.to_bits(),
-                            direct.to_bits(),
-                            "cap {cap}: plogp({c}, {t}) on {pass}"
-                        );
-                        if c < t {
-                            let direct = -p * p.log2() - (1.0 - p) * (1.0 - p).log2();
-                            let memoised = memo.split_info(c, t);
-                            assert_eq!(
-                                memoised.to_bits(),
-                                direct.to_bits(),
-                                "cap {cap}: split_info({c}, {t}) on {pass}"
-                            );
+        let threads = 4;
+        let start = std::sync::Barrier::new(threads);
+        std::thread::scope(|s| {
+            for k in 0..threads {
+                let start = &start;
+                s.spawn(move || {
+                    let mut totals: Vec<usize> = (1..=TERM_TABLE_MAX_TOTAL + 8).collect();
+                    // Half the threads walk the denominators down, so
+                    // rows are filled from both ends at once.
+                    if k % 2 == 1 {
+                        totals.reverse();
+                    }
+                    start.wait();
+                    for t in totals {
+                        for c in 1..=t {
+                            let p = c as f64 / t as f64;
+                            let direct = -p * p.log2();
+                            // A one-count entropy is that count's term alone.
+                            let served = entropy(std::iter::once(c), t);
+                            assert_eq!(served.to_bits(), direct.to_bits(), "plogp({c}, {t})");
+                            if c < t {
+                                let direct = -p * p.log2() - (1.0 - p) * (1.0 - p).log2();
+                                let served = split_info(c, t);
+                                assert_eq!(
+                                    served.to_bits(),
+                                    direct.to_bits(),
+                                    "split_info({c}, {t})"
+                                );
+                            }
                         }
                     }
-                }
+                });
             }
-            // Three-class entropies fold the same terms in the same order.
-            for t in (1..=FOREST_MEMO_MAX_TOTAL + 8).step_by(7) {
-                for c0 in 0..=t {
-                    let counts = [c0, (t - c0) / 2, t - c0 - (t - c0) / 2];
-                    let direct: f64 = counts
-                        .iter()
-                        .filter(|&&c| c > 0)
-                        .map(|&c| {
-                            let p = c as f64 / t as f64;
-                            -p * p.log2()
-                        })
-                        .sum();
-                    let memoised = memo.entropy(counts.iter().copied(), t);
-                    assert_eq!(memoised.to_bits(), direct.to_bits(), "{counts:?}");
-                }
+        });
+        // Three-class entropies fold the same terms in the same order.
+        for t in (1..=TERM_TABLE_MAX_TOTAL + 8).step_by(7) {
+            for c0 in 0..=t {
+                let counts = [c0, (t - c0) / 2, t - c0 - (t - c0) / 2];
+                let direct: f64 = counts
+                    .iter()
+                    .filter(|&&c| c > 0)
+                    .map(|&c| {
+                        let p = c as f64 / t as f64;
+                        -p * p.log2()
+                    })
+                    .sum();
+                let served = entropy(counts.iter().copied(), t);
+                assert_eq!(served.to_bits(), direct.to_bits(), "{counts:?}");
             }
-            // Denominators past the cap never allocate a row.
-            assert_eq!(memo.plogp.len(), cap + 1);
-            assert_eq!(memo.split_info.len(), cap + 1);
         }
+        // Denominators past the cap have no row.
+        assert!(term_row(&PLOGP, TERM_TABLE_MAX_TOTAL, plogp).is_some());
+        assert!(term_row(&PLOGP, TERM_TABLE_MAX_TOTAL + 1, plogp).is_none());
+        assert!(term_row(&SPLIT_INFO, TERM_TABLE_MAX_TOTAL + 1, binary_split_info).is_none());
     }
 }

@@ -13,7 +13,7 @@
 //! of a full sort, and the distance/vote buffers live in a reusable
 //! scratch so a prediction allocates nothing in steady state.
 
-use super::Classifier;
+use super::{check_attributes, Classifier};
 use crate::error::{MiningError, Result};
 use crate::instances::{AttrKind, InstancesView};
 use std::cell::RefCell;
@@ -186,9 +186,10 @@ impl Classifier for Knn {
 
     fn predict_view(&self, data: &InstancesView<'_>) -> Result<Vec<usize>> {
         let model = self.model.as_ref().ok_or(MiningError::NotFitted("kNN"))?;
+        check_attributes("kNN", model.columns.len(), data)?;
         let cols: Vec<_> = (0..data.n_attributes()).map(|a| data.col(a)).collect();
         Ok((0..data.len())
-            .map(|i| self.predict_query(model, |a| cols.get(a).and_then(|c| c.get(i))))
+            .map(|i| self.predict_query(model, |a| cols[a].get(i)))
             .collect())
     }
 

@@ -16,7 +16,7 @@
 //! dense design matrix gave it, term by term; only the sign of an
 //! all-zero score can differ, and `sigmoid(+0) == sigmoid(-0)`.
 
-use super::Classifier;
+use super::{check_attributes, Classifier};
 use crate::error::{MiningError, Result};
 use crate::instances::{AttrKind, InstancesView};
 
@@ -299,6 +299,7 @@ impl Classifier for LogisticRegression {
             .encoder
             .as_ref()
             .ok_or(MiningError::NotFitted("LogisticRegression"))?;
+        check_attributes("LogisticRegression", enc.specs.len(), data)?;
         let design = Design::new(enc, data);
         let k = self.weights.len();
         // Row-major: each row's one-vs-rest sigmoids, in class order.

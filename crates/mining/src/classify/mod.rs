@@ -22,7 +22,7 @@ pub use one_r::OneR;
 pub use random_forest::RandomForest;
 pub use zero_r::ZeroR;
 
-use crate::error::Result;
+use crate::error::{MiningError, Result};
 use crate::instances::{Instances, InstancesView};
 
 /// A trainable classifier over [`Instances`].
@@ -44,7 +44,8 @@ pub trait Classifier {
     }
 
     /// Predict the class index of every row of a view whose attributes
-    /// are those of the fitted view, in the same order.
+    /// are those of the fitted view, in the same order. A view with
+    /// another attribute count is `Err(MiningError::InvalidDataset)`.
     fn predict_view(&self, data: &InstancesView<'_>) -> Result<Vec<usize>>;
 
     /// Predict every row of a dataset.
@@ -56,6 +57,19 @@ pub trait Classifier {
     /// used by the redundancy experiment to show model bloat.
     fn model_size(&self) -> usize {
         1
+    }
+}
+
+/// `Err` unless `data` has the `fitted` attribute count: a fitted model
+/// reads each attribute by its position in the view it was fitted on.
+pub(crate) fn check_attributes(model: &str, fitted: usize, data: &InstancesView<'_>) -> Result<()> {
+    if data.n_attributes() == fitted {
+        Ok(())
+    } else {
+        Err(MiningError::InvalidDataset(format!(
+            "{model} was fitted on {fitted} attributes, not {}",
+            data.n_attributes()
+        )))
     }
 }
 
@@ -239,7 +253,8 @@ mod tests {
 
     /// Every classifier fitted on a row- and attribute-masked view, and
     /// predicting another masked view, gives the predictions and model
-    /// size of fitting and predicting the views' materialized copies.
+    /// size of fitting and predicting the views' materialized copies, and
+    /// refuses a view with fewer attributes than it was fitted on.
     #[test]
     fn masked_views_predict_like_their_materialized_copies() {
         let d = mixed();
@@ -263,6 +278,14 @@ mod tests {
             assert_eq!(predicted.len(), test_rows.len(), "{spec}");
             assert_eq!(predicted, copied.predict(&test_copy).unwrap(), "{spec}");
             assert_eq!(masked.model_size(), copied.model_size(), "{spec}");
+            // A view of 2 of the 3 fitted attributes is refused.
+            assert!(
+                matches!(
+                    masked.predict_view(&test.select_attrs(&[0, 1])),
+                    Err(MiningError::InvalidDataset(_))
+                ),
+                "{spec}"
+            );
             classes.extend(predicted);
         }
         assert_eq!(classes.len(), 3, "the learners tell the classes apart");

@@ -9,7 +9,7 @@
 //! collect-then-sum row-major code), and batch prediction walks each
 //! column once instead of gathering rows.
 
-use super::Classifier;
+use super::{check_attributes, Classifier};
 use crate::error::{MiningError, Result};
 use crate::instances::{AttrKind, InstancesView};
 
@@ -172,6 +172,7 @@ impl Classifier for NaiveBayes {
         if !self.fitted {
             return Err(MiningError::NotFitted("NaiveBayes"));
         }
+        check_attributes("NaiveBayes", self.models.len(), data)?;
         let n = data.len();
         let k = self.log_priors.len();
         // Row-major score matrix seeded with the priors; one pass per
@@ -182,9 +183,6 @@ impl Classifier for NaiveBayes {
             scores.extend_from_slice(&self.log_priors);
         }
         for (a, model) in self.models.iter().enumerate() {
-            if a >= data.n_attributes() {
-                break;
-            }
             let col = data.col(a);
             for (i, row_scores) in scores.chunks_mut(k.max(1)).enumerate() {
                 if let Some(v) = col.get(i) {

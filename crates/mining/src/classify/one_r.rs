@@ -4,7 +4,7 @@
 //! attribute whose per-bucket majority rule has the lowest training
 //! error wins. Missing values form their own bucket.
 
-use super::Classifier;
+use super::{check_attributes, Classifier};
 use crate::error::{MiningError, Result};
 use crate::instances::{AttrKind, InstancesView};
 
@@ -24,6 +24,8 @@ struct Rule {
 #[derive(Debug, Clone, Default)]
 pub struct OneR {
     rule: Option<Rule>,
+    /// Attribute count of the fitted view.
+    n_attributes: usize,
 }
 
 impl OneR {
@@ -131,11 +133,13 @@ impl Classifier for OneR {
         let (_, rule) = best
             .ok_or_else(|| MiningError::InvalidDataset("OneR found no usable attribute".into()))?;
         self.rule = Some(rule);
+        self.n_attributes = data.n_attributes();
         Ok(())
     }
 
     fn predict_view(&self, data: &InstancesView<'_>) -> Result<Vec<usize>> {
         let rule = self.rule.as_ref().ok_or(MiningError::NotFitted("OneR"))?;
+        check_attributes("OneR", self.n_attributes, data)?;
         let col = data.col(rule.attribute);
         Ok((0..data.len())
             .map(|i| {

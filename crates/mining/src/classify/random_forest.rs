@@ -1,9 +1,10 @@
 //! Random forest: bagged C4.5-style trees with √d feature subsampling
-//! and majority voting. Bootstrap samples are row-index views over the
-//! training data — no per-tree row copies — and all trees of one fit
-//! share one memo of split-search terms.
+//! and majority voting. A bootstrap sample is a multiplicity per training
+//! row (how often it was drawn), not a view that repeats rows, and every
+//! numeric attribute of the training view is sorted once per fit for all
+//! of its trees.
 
-use super::decision_tree::SplitMemo;
+use super::decision_tree::Presorted;
 use super::{Classifier, DecisionTree};
 use crate::error::{MiningError, Result};
 use crate::instances::InstancesView;
@@ -72,17 +73,19 @@ impl Classifier for RandomForest {
             .min(n_attrs);
         self.n_classes = data.n_classes();
         self.forest.clear();
-        let mut memo = SplitMemo::for_forest();
+        let all: Vec<usize> = (0..n_attrs).collect();
+        let train = Presorted::new(data, &all);
+        let mut drawn = vec![0usize; data.len()];
         for _ in 0..self.trees {
-            // Bootstrap sample of the labeled rows (view-local indices):
-            // the tree trains on a borrowed row-index view, not a copy.
-            let sample: Vec<usize> = (0..labeled.len())
-                .map(|_| labeled[rng.below(labeled.len())])
-                .collect();
-            let boot = data.select_rows(&sample);
+            // Bootstrap sample of the labeled rows (view-local indices),
+            // kept as how often each row was drawn.
+            drawn.fill(0);
+            for _ in 0..labeled.len() {
+                drawn[labeled[rng.below(labeled.len())]] += 1;
+            }
             let mut tree = DecisionTree::new(self.max_depth, 2);
             tree.feature_subset = Some(rng.sample_indices(n_attrs, subset_size));
-            tree.fit_view_with(&boot, &mut memo)?;
+            tree.fit_weighted(&train, &drawn);
             self.forest.push(tree);
         }
         Ok(())
@@ -92,8 +95,9 @@ impl Classifier for RandomForest {
         if self.forest.is_empty() {
             return Err(MiningError::NotFitted("RandomForest"));
         }
-        // Each tree predicts the whole view in one columnar pass; votes
-        // are tallied per row in tree order.
+        // Each tree predicts the whole view in one columnar pass (and
+        // refuses a view with another attribute count); votes are
+        // tallied per row in tree order.
         let per_tree = self
             .forest
             .iter()

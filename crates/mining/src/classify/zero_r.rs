@@ -1,6 +1,6 @@
 //! ZeroR: the majority-class baseline every real classifier must beat.
 
-use super::Classifier;
+use super::{check_attributes, Classifier};
 use crate::error::{MiningError, Result};
 use crate::instances::InstancesView;
 
@@ -8,6 +8,8 @@ use crate::instances::InstancesView;
 #[derive(Debug, Clone, Default)]
 pub struct ZeroR {
     majority: Option<usize>,
+    /// Attribute count of the fitted view.
+    n_attributes: usize,
 }
 
 impl ZeroR {
@@ -29,11 +31,13 @@ impl Classifier for ZeroR {
             ));
         }
         self.majority = Some(data.majority_class());
+        self.n_attributes = data.n_attributes();
         Ok(())
     }
 
     fn predict_view(&self, data: &InstancesView<'_>) -> Result<Vec<usize>> {
         let majority = self.majority.ok_or(MiningError::NotFitted("ZeroR"))?;
+        check_attributes("ZeroR", self.n_attributes, data)?;
         Ok(vec![majority; data.len()])
     }
 }

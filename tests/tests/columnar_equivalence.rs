@@ -27,14 +27,21 @@
 //!    KB bytes at workers 1 and 4. Combined with layer 1 (the grid's
 //!    only layout-dependent computation is the CV it runs per cell)
 //!    this pins the grid KB to the pre-rewrite bytes.
+//! 4. **The benchmark's inputs** — FNV-64 digests of the tree's and the
+//!    forest's CV results on the `kb_build` datasets and of the tree's on
+//!    the `pipeline_mix` tables, taken before the trees fitted bootstrap
+//!    samples as row multiplicities and read their split terms from a
+//!    process-wide table.
 
 use openbi::experiment::{run_phase1_report, Criterion, ExperimentConfig, ExperimentDataset};
 use openbi::kb::SnapshotKnowledgeBase;
 use openbi::mining::eval::crossval::{cross_validate_with, holdout_split, CrossValOptions};
 use openbi::mining::{AlgorithmSpec, Instances};
-use openbi_datagen::{all_scenarios, make_blobs, make_rule_based, BlobsConfig, RuleConfig};
-use openbi_integration::null_nonfinite;
+use openbi_datagen::{
+    all_scenarios, make_blobs, make_rule_based, reference_datasets, BlobsConfig, RuleConfig,
+};
 use openbi_integration::reference::mining as reference;
+use openbi_integration::{null_nonfinite, pipeline_mix_scenarios};
 use openbi_quality::{Degradation, MissingInjector};
 use openbi_table::{Column, Table};
 
@@ -253,7 +260,7 @@ impl Corpus {
 /// - two non-finite tables with an all-missing column: one with `±∞`
 ///   cells, one with `±NaN` cells;
 /// - a discretized table whose CV training folds are larger than the
-///   tree's split-term memo cap (512 rows).
+///   cap of the trees' split-term table (512 rows).
 fn corpora(seed: u64) -> Vec<Corpus> {
     let blobs = make_blobs(&BlobsConfig {
         n_rows: 150,
@@ -290,7 +297,7 @@ fn corpora(seed: u64) -> Vec<Corpus> {
         "class",
     ));
     corpora.push(Corpus::new(
-        "past-memo-cap",
+        "past-term-table-cap",
         discretized(840, seed),
         "class",
     ));
@@ -427,4 +434,96 @@ fn grid_kb_is_byte_identical_across_worker_counts() {
             }
         }
     }
+}
+
+/// FNV-1a, 64-bit, over the little-endian bytes of `words`.
+fn fnv64_words(words: &[u64]) -> u64 {
+    words
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// The words a CV result is pinned by: each fold's accuracy bits, the
+/// pooled confusion matrix and the bits of the mean model size.
+fn cv_words(data: &Instances, spec: &AlgorithmSpec, seed: u64) -> Vec<u64> {
+    let eval = cross_validate_with(data, spec, 5, seed, &CrossValOptions::parallel()).unwrap();
+    let classes = eval.confusion.classes.len();
+    let mut words: Vec<u64> = eval.fold_accuracies.iter().map(|a| a.to_bits()).collect();
+    for actual in 0..classes {
+        words.extend((0..classes).map(|predicted| eval.confusion.cell(actual, predicted) as u64));
+    }
+    words.push(eval.model_size.to_bits());
+    words
+}
+
+/// Digests of 5-fold CV (parallel folds) of the `standard_suite` tree and
+/// forest on the three 200-row `kb_build` datasets of each seed, and of
+/// the tree on the 24 `pipeline_mix_scenarios` tables of each seed.
+const BENCHMARK_TREE_DIGESTS: [(&str, u64); 14] = [
+    ("2012/blobs-easy/DecisionTree", 0x3279ebf58972373a),
+    ("2012/blobs-easy/RandomForest", 0xf8a3f6712c3edf87),
+    ("2012/blobs-hard/DecisionTree", 0x7a42455ae6cebf8d),
+    ("2012/blobs-hard/RandomForest", 0x3dabb08fd4434217),
+    ("2012/rules/DecisionTree", 0x22b6496c203ae221),
+    ("2012/rules/RandomForest", 0x6e6e058f8c27ba1c),
+    ("9001/blobs-easy/DecisionTree", 0xd5f1e20b4e82f255),
+    ("9001/blobs-easy/RandomForest", 0x236300c526ba5667),
+    ("9001/blobs-hard/DecisionTree", 0xaab1b2d6dd99f281),
+    ("9001/blobs-hard/RandomForest", 0xd818aa246d236e59),
+    ("9001/rules/DecisionTree", 0x75655561429b52e6),
+    ("9001/rules/RandomForest", 0x44e23e7d4f517365),
+    ("2012/pipeline_mix/DecisionTree", 0xdf1a922017a09dce),
+    ("7/pipeline_mix/DecisionTree", 0x8cdff7f8255ecaa5),
+];
+
+/// The tree and the forest keep their exact CV results on the
+/// benchmark's own inputs, whichever thread fills the split-term table.
+#[test]
+fn benchmark_tree_cv_matches_pinned_digests() {
+    let suite = AlgorithmSpec::standard_suite();
+    let trees: Vec<&AlgorithmSpec> = suite
+        .iter()
+        .filter(|s| matches!(s.name(), "DecisionTree" | "RandomForest"))
+        .collect();
+    let mut computed = Vec::new();
+    for seed in [2012u64, 9001] {
+        for (name, table, target) in reference_datasets(seed) {
+            let data = Instances::from_table(&table.head(200), Some(&target), &[]).unwrap();
+            for spec in &trees {
+                let words = cv_words(&data, spec, seed);
+                computed.push((
+                    format!("{seed}/{name}/{}", spec.name()),
+                    fnv64_words(&words),
+                ));
+            }
+        }
+    }
+    let tree = trees[0];
+    for seed in [2012u64, 7] {
+        let mut words = Vec::new();
+        for s in pipeline_mix_scenarios(seed) {
+            let exclude: Vec<&str> = s.id_columns.iter().map(String::as_str).collect();
+            let data = Instances::from_table(&s.table, Some(&s.target), &exclude).unwrap();
+            words.extend(cv_words(&data, tree, seed));
+        }
+        computed.push((
+            format!("{seed}/pipeline_mix/{}", tree.name()),
+            fnv64_words(&words),
+        ));
+    }
+    let drift: Vec<String> = computed
+        .iter()
+        .filter(|(name, digest)| !BENCHMARK_TREE_DIGESTS.contains(&(name.as_str(), *digest)))
+        .map(|(name, digest)| format!("(\"{name}\", 0x{digest:016x}),"))
+        .collect();
+    assert!(
+        drift.is_empty() && computed.len() == BENCHMARK_TREE_DIGESTS.len(),
+        "{} of {} digests drifted from the pinned bits:\n{}",
+        drift.len(),
+        BENCHMARK_TREE_DIGESTS.len(),
+        drift.join("\n")
+    );
 }
