@@ -35,25 +35,27 @@
 //! retry and bound injected failures.
 //!
 //! `--wal-dir` makes `experiments` crash-durable (DESIGN.md §15): any
-//! log left by a previous (possibly crashed) run is recovered first,
-//! every acknowledged batch is appended to a checksummed write-ahead
-//! log before it is served, and a final checkpoint compacts the log on
-//! clean exit when the run published or recovery replayed frames. A
-//! batch the log refuses is never served: if the log still refuses it
-//! when the run ends, the command fails. A rerun on the same log
-//! resumes: it skips every cell whose records the log already holds,
-//! and of a partly recorded cell runs only the algorithms it lacks, so
-//! no record is logged twice; a rerun with nothing left to run leaves
-//! the log untouched. The first run records its grid sizes (`--rows`
-//! and `--folds`) beside the log, because a record's resume key holds
-//! neither: a rerun at other sizes, or on a log with records but no
-//! recorded sizes, exits 2 before it writes anything.
+//! log left by a previous (possibly crashed) run is recovered once, as
+//! the log is opened, every acknowledged batch is appended to a
+//! checksummed write-ahead log before it is served, and a final
+//! checkpoint compacts the log on clean exit when the run published or
+//! recovery replayed frames. A batch the log refuses is never served:
+//! if the log still refuses it when the run ends, the command fails.
+//! A rerun on the same log resumes: it skips every cell whose records
+//! the log already holds, and of a partly recorded cell runs only the
+//! algorithms it lacks, so no record is logged twice; a rerun with
+//! nothing left to run leaves the log untouched. The first run records
+//! its grid sizes (`--rows` and `--folds`) beside the log, because a
+//! record's resume key holds neither: a rerun at other sizes, or on a
+//! log with records but no recorded sizes, exits 2 before it writes
+//! anything.
 //!
 //! Every numeric flag is validated: a value that does not parse exits
 //! with status 2 and an `error: --<flag> must be …` line, never a
 //! silent fallback to the default. So does an `experiments` size at
 //! which every cell would fail (`--folds` below 2, `--rows` below
-//! `--folds`, `--cell-deadline-ms 0`), before anything is written.
+//! `--folds`, `--cell-deadline-ms 0`), and `--checkpoint-every 0`,
+//! before anything is written.
 //! `kb recover` replays such a log on its own — useful after a crash,
 //! or to turn a log into a plain `kb.jsonl`.
 //!
@@ -64,8 +66,8 @@ use openbi::experiment::{
     GridReport,
 };
 use openbi::kb::{
-    recover, Advisor, CheckpointReport, DurableOptions, ExperimentRecord, FsyncPolicy,
-    KnowledgeBase, RecoveryReport, SnapshotKnowledgeBase,
+    Advisor, CheckpointReport, DurableOptions, ExperimentRecord, FsyncPolicy, KnowledgeBase,
+    RecoveryReport, SnapshotKnowledgeBase,
 };
 use openbi::pipeline::{run_pipeline, DataSource, PipelineConfig};
 use openbi::quality::{measure_profile, render_profile, MeasureOptions};
@@ -305,7 +307,8 @@ struct WalArgs {
 
 /// Parse `--wal-dir` / `--fsync` / `--checkpoint-every`. `Ok(None)`
 /// when durability was not requested; an error when the dependent
-/// flags appear without `--wal-dir`, or don't parse.
+/// flags appear without `--wal-dir`, don't parse, or ask for a
+/// checkpoint every 0 records.
 fn parse_wal_args(args: &Args) -> Result<Option<WalArgs>, String> {
     let Some(dir) = args.flag("wal-dir") else {
         if args.has("fsync") || args.has("checkpoint-every") {
@@ -318,10 +321,14 @@ fn parse_wal_args(args: &Args) -> Result<Option<WalArgs>, String> {
             .ok_or_else(|| format!("--fsync must be always|batch|never, got {spec:?}"))?,
         None => FsyncPolicy::default(),
     };
+    let checkpoint_every = args.number("checkpoint-every", INTEGER)?;
+    if checkpoint_every == Some(0) {
+        return Err("--checkpoint-every must be a positive integer, got \"0\"".to_string());
+    }
     Ok(Some(WalArgs {
         dir: dir.to_string(),
         fsync,
-        checkpoint_every: args.number("checkpoint-every", INTEGER)?,
+        checkpoint_every,
     }))
 }
 
@@ -426,16 +433,16 @@ fn refuse(msg: &str) -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Open `--wal-dir` for writing: recover it again and log every publish
-/// from now on.
-fn open_durable_store(wal: &WalArgs) -> Result<SnapshotKnowledgeBase, String> {
+/// Open `--wal-dir`: recover what it holds and log every publish from
+/// now on. The log gains no file until the run publishes or
+/// checkpoints.
+fn open_durable_store(wal: &WalArgs) -> Result<(SnapshotKnowledgeBase, RecoveryReport), String> {
     let mut options = DurableOptions::new(&wal.dir).fsync(wal.fsync);
     if let Some(every) = wal.checkpoint_every {
         options = options.checkpoint_every(every);
     }
-    let (store, _) = SnapshotKnowledgeBase::open_durable(options)
-        .map_err(|e| format!("cannot open write-ahead log {}: {e}", wal.dir))?;
-    Ok(store)
+    SnapshotKnowledgeBase::open_durable(options)
+        .map_err(|e| format!("cannot open write-ahead log {}: {e}", wal.dir))
 }
 
 /// A record's key in the knowledge base: dataset, degradations, seed
@@ -633,18 +640,20 @@ fn cmd_experiments(args: &Args) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // Read what the log holds; it is opened for writing below only if
-    // this run has frames to add or to checkpoint.
-    let (recovered_kb, replayed) = match &wal {
-        Some(wal) => match recover(&wal.dir) {
-            Ok((kb, report)) => {
+    // Installed before the log is opened, so the metrics hold its
+    // recovery.
+    let metrics = metrics_registry(args);
+    let (store, replayed) = match &wal {
+        Some(wal) => match open_durable_store(wal) {
+            Ok((store, report)) => {
                 print_recovery(&wal.dir, &report);
-                (kb, report.frames_replayed)
+                (store, report.frames_replayed)
             }
-            Err(e) => return fail(&format!("cannot open write-ahead log {}: {e}", wal.dir)),
+            Err(e) => return fail(&e),
         },
-        None => (KnowledgeBase::new(), 0),
+        None => (SnapshotKnowledgeBase::default(), 0),
     };
+    let recovered_kb = store.pin();
     if let (Some(wal), None) = (&wal, &recorded) {
         if !recovered_kb.is_empty() {
             return refuse(&format!(
@@ -672,17 +681,6 @@ fn cmd_experiments(args: &Args) -> ExitCode {
             );
         }
     }
-    // A rerun with nothing to run, on a log whose newest checkpoint
-    // covers every frame, leaves the log as it is: no new segment and no
-    // checkpoint.
-    let store = match &wal {
-        Some(wal) if !runs.is_empty() || replayed > 0 => match open_durable_store(wal) {
-            Ok(store) => store,
-            Err(e) => return fail(&e),
-        },
-        _ => SnapshotKnowledgeBase::new(recovered_kb),
-    };
-    let metrics = metrics_registry(args);
     eprintln!(
         "running phase 1 on {} datasets × {} criteria × {} severities ({} workers)…",
         datasets.len(),
@@ -697,7 +695,9 @@ fn cmd_experiments(args: &Args) -> ExitCode {
         store.flush().map_err(openbi::OpenBiError::Kb)?;
         if store.is_durable() {
             // Only frames this run published or recovery replayed are
-            // outside the newest checkpoint.
+            // outside the newest checkpoint. A rerun with nothing to run
+            // on a log its newest checkpoint covers leaves the log as it
+            // is: no new segment and no checkpoint.
             if store.generation() > 0 || replayed > 0 {
                 match store.checkpoint() {
                     Ok(Some(checkpoint)) => print_checkpoint(&checkpoint),

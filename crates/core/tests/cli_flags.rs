@@ -4,10 +4,11 @@
 //! default. Every case fails during argument validation, before any
 //! input file is read or any experiment runs.
 //!
-//! The last test reruns `experiments` on one `--wal-dir`: the rerun
-//! logs no record twice and leaves the log untouched, both runs report
-//! what they saved, and a rerun at other grid sizes, or on a log whose
-//! sizes were not recorded, is refused without writing anything.
+//! The last two tests rerun `experiments` on one `--wal-dir`: each run
+//! recovers the log once, the rerun logs no record twice and leaves the
+//! log untouched, both runs report what they saved, and a rerun at
+//! other grid sizes, or on a log whose sizes were not recorded, is
+//! refused without writing anything.
 
 use std::collections::HashSet;
 use std::process::{Command, Output};
@@ -75,9 +76,9 @@ fn experiments_rejects_malformed_numbers() {
     );
 }
 
-/// Sizes at which every cell would fail are refused before anything
-/// runs: no `--out`, and no `--wal-dir` (so no segment and no recorded
-/// grid sizes).
+/// Sizes at which every cell would fail, and a checkpoint every 0
+/// records, are refused before anything runs: no `--out`, and no
+/// `--wal-dir` (so no segment and no recorded grid sizes).
 #[test]
 fn experiments_rejects_sizes_at_which_every_cell_fails() {
     let dir = std::env::temp_dir().join(format!("openbi-cli-sizes-{}", std::process::id()));
@@ -88,6 +89,7 @@ fn experiments_rejects_sizes_at_which_every_cell_fails() {
         let mut experiments = vec!["experiments", "--out", out.as_str()];
         if durable {
             experiments.extend(["--wal-dir", wal.as_str()]);
+            assert_rejected(&experiments, "--checkpoint-every", Some("0"));
         }
         for (flag, value) in [("--folds", "1"), ("--folds", "0"), ("--rows", "0")] {
             assert_rejected(&experiments, flag, Some(value));
@@ -158,6 +160,37 @@ fn wal_files(dir: &str) -> Vec<(String, Vec<u8>)> {
         .collect();
     files.sort();
     files
+}
+
+/// A `--wal-dir` run reads its log once, as it opens it: its metrics
+/// hold one recovery, on a fresh log and on a rerun with nothing to run.
+#[test]
+fn experiments_on_a_wal_dir_recover_the_log_once() {
+    let dir = std::env::temp_dir().join(format!("openbi-cli-recovery-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let (out, wal, metrics) = (path("kb.jsonl"), path("wal"), path("metrics.json"));
+    for run in ["fresh", "rerun"] {
+        succeed(&[
+            "experiments",
+            "--out",
+            &out,
+            "--rows",
+            "12",
+            "--folds",
+            "2",
+            "--wal-dir",
+            &wal,
+            "--metrics-out",
+            &metrics,
+        ]);
+        let json = std::fs::read_to_string(&metrics).unwrap();
+        assert!(
+            json.contains("\"kb.recovery.seconds\":{\"count\":1,"),
+            "the {run} run must recover its log exactly once: {json}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

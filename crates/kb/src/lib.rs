@@ -32,7 +32,7 @@ pub use serving::{
     AdvisorService, DurableOptions, KbSnapshot, ServedAdvice, SnapshotKnowledgeBase,
 };
 pub use store::{KbView, KnowledgeBase};
-pub use wal::{recover, CheckpointReport, FsyncPolicy, RecoveryReport, WalOptions, WalWriter};
+pub use wal::{recover, CheckpointReport, FsyncPolicy, RecoveryReport, WalWriter};
 
 /// The store under the name the benchmark in `perfbench/` uses for it.
 /// New code names [`SnapshotKnowledgeBase`] directly.

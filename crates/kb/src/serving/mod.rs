@@ -43,7 +43,8 @@ use crate::error::{KbError, Result};
 use crate::record::ExperimentRecord;
 use crate::store::KnowledgeBase;
 use crate::wal::{
-    CheckpointReport, FsyncPolicy, RecoveryReport, WalOptions, WalWriter, DEFAULT_SEGMENT_BYTES,
+    CheckpointReport, FsyncPolicy, RecoveryReport, WalWriter, DEFAULT_SEGMENT_BYTES,
+    MIN_SEGMENT_BYTES,
 };
 use openbi_obs as obs;
 use openbi_quality::QualityProfile;
@@ -140,8 +141,9 @@ impl PublishMetrics {
 }
 
 /// Configuration for a crash-durable serving store
-/// ([`SnapshotKnowledgeBase::open_durable`]): where the write-ahead
-/// log lives, how eagerly it syncs, and when it checkpoints.
+/// ([`SnapshotKnowledgeBase::open_durable`]) and its write-ahead log
+/// ([`WalWriter::open`]): where the log lives, how eagerly it syncs,
+/// and when it checkpoints.
 ///
 /// # Examples
 ///
@@ -157,11 +159,11 @@ impl PublishMetrics {
 /// ```
 #[derive(Debug, Clone)]
 pub struct DurableOptions {
-    wal_dir: std::path::PathBuf,
-    segment_bytes: u64,
-    fsync: FsyncPolicy,
+    pub(crate) wal_dir: std::path::PathBuf,
+    pub(crate) segment_bytes: u64,
+    pub(crate) fsync: FsyncPolicy,
     checkpoint_every: Option<u64>,
-    fault_plan: Option<Arc<openbi_faults::FaultPlan>>,
+    pub(crate) fault_plan: Option<Arc<openbi_faults::FaultPlan>>,
 }
 
 impl DurableOptions {
@@ -177,10 +179,10 @@ impl DurableOptions {
         }
     }
 
-    /// Segment size before the log rotates (see
-    /// [`WalOptions::segment_bytes`]).
+    /// Rotate to a fresh segment once the current one reaches `bytes`
+    /// (clamped to [`MIN_SEGMENT_BYTES`]).
     pub fn segment_bytes(mut self, bytes: u64) -> DurableOptions {
-        self.segment_bytes = bytes;
+        self.segment_bytes = bytes.max(MIN_SEGMENT_BYTES);
         self
     }
 
@@ -300,30 +302,25 @@ impl SnapshotKnowledgeBase {
     /// records as generation 0, and log every batch published from now
     /// on *before* its snapshot swap — write-ahead ordering, so a
     /// record is never visible to readers unless it would survive a
-    /// crash (under the configured [`FsyncPolicy`]).
+    /// crash (under the configured [`FsyncPolicy`]). The log gains a
+    /// segment only when the first batch or checkpoint lands, so a
+    /// store dropped before either leaves every file as it found it.
     ///
     /// Returns the store together with the [`RecoveryReport`] so
     /// callers can surface what was replayed, truncated, or
     /// checkpointed.
     pub fn open_durable(options: DurableOptions) -> Result<(Self, RecoveryReport)> {
         let (kb, report) = match &options.fault_plan {
-            Some(plan) => crate::wal::recover_with(&options.wal_dir, Some(plan))?,
+            Some(plan) => crate::wal::recover::recover_with(&options.wal_dir, Some(plan))?,
             None => crate::wal::recover(&options.wal_dir)?,
         };
-        let mut wal_options = WalOptions::new(&options.wal_dir)
-            .segment_bytes(options.segment_bytes)
-            .fsync(options.fsync);
-        if let Some(plan) = &options.fault_plan {
-            wal_options = wal_options.fault_plan(plan.clone());
-        }
-        let wal = WalWriter::open(wal_options)?;
+        let (checkpoint_every, plan) = (options.checkpoint_every, options.fault_plan.clone());
+        let wal = WalWriter::open(options)?;
         let mut store = SnapshotKnowledgeBase::new(kb);
-        if let Some(plan) = options.fault_plan {
-            store = store.with_fault_plan(plan);
-        }
+        store.fault_plan = plan;
         store.lock_writer().durable = Some(DurableState {
             wal,
-            checkpoint_every: options.checkpoint_every,
+            checkpoint_every,
             records_since_checkpoint: 0,
             wal_failures: 0,
             checkpoint_failures: 0,
@@ -428,15 +425,6 @@ impl SnapshotKnowledgeBase {
         let report = durable.wal.checkpoint(&self.pin())?;
         durable.records_since_checkpoint = 0;
         Ok(Some(report))
-    }
-
-    /// Force the write-ahead log to stable storage regardless of the
-    /// fsync policy. A no-op on a non-durable store.
-    pub fn sync_wal(&self) -> Result<()> {
-        match &mut self.lock_writer().durable {
-            Some(durable) => durable.wal.sync(),
-            None => Ok(()),
-        }
     }
 
     /// Whether this store write-ahead logs its publishes.
@@ -918,6 +906,49 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Every file in `dir` by name, with its bytes.
+    fn log_files(dir: &std::path::Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| {
+                let path = entry.unwrap().path();
+                (
+                    path.file_name().unwrap().to_owned(),
+                    std::fs::read(&path).unwrap(),
+                )
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn a_durable_store_that_publishes_nothing_leaves_the_log_as_it_was() {
+        let dir = durable_dir("untouched");
+        let (store, _) = SnapshotKnowledgeBase::open_durable(DurableOptions::new(&dir)).unwrap();
+        drop(store);
+        assert!(!dir.exists(), "opening a missing log creates nothing");
+        {
+            let (store, _) =
+                SnapshotKnowledgeBase::open_durable(DurableOptions::new(&dir)).unwrap();
+            store.add(record("d1", "a", 0.5));
+            store.checkpoint().unwrap();
+            store.add(record("d2", "b", 0.6));
+        }
+        let logged = log_files(&dir);
+        let (store, recovery) =
+            SnapshotKnowledgeBase::open_durable(DurableOptions::new(&dir)).unwrap();
+        assert_eq!((recovery.frames_replayed, store.len()), (1, 2));
+        store.flush().unwrap();
+        drop(store);
+        assert_eq!(
+            log_files(&dir),
+            logged,
+            "no publish and no checkpoint: every file keeps its name and bytes"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn wal_failure_keeps_the_batch_pending_and_readers_unharmed() {
         let dir = durable_dir("wal-fault");
@@ -1028,7 +1059,6 @@ mod tests {
         let store = SnapshotKnowledgeBase::default();
         assert!(!store.is_durable());
         assert_eq!(store.checkpoint().unwrap(), None);
-        store.sync_wal().unwrap();
         assert_eq!(store.wal_failures(), 0);
         assert!(!store.durability_degraded());
     }

@@ -32,8 +32,8 @@ pub mod segment;
 pub mod writer;
 
 pub use checkpoint::{checkpoint_file_name, CheckpointReport};
-pub use recover::{recover, recover_with, RecoveryReport};
-pub use writer::{FsyncPolicy, WalOptions, WalWriter, DEFAULT_SEGMENT_BYTES, MIN_SEGMENT_BYTES};
+pub use recover::{recover, RecoveryReport};
+pub use writer::{FsyncPolicy, WalWriter, DEFAULT_SEGMENT_BYTES, MIN_SEGMENT_BYTES};
 
 /// Fault point fired (with [`corrupt_buffer`]) for every frame append;
 /// keyed by the global frame index.
@@ -51,8 +51,10 @@ pub const RECOVER_FAULT_POINT: &str = "kb.wal.recover";
 
 #[cfg(test)]
 mod tests {
+    use super::recover::recover_with;
     use super::*;
     use crate::record::{ExperimentRecord, PerfMetrics};
+    use crate::serving::DurableOptions;
     use crate::store::KnowledgeBase;
     use crate::KbError;
     use openbi_faults::{FaultPlan, FaultRule};
@@ -125,7 +127,7 @@ mod tests {
         let dir = fresh_dir("round-trip");
         let expected = records(10);
         {
-            let mut writer = WalWriter::open(WalOptions::new(&dir)).unwrap();
+            let mut writer = WalWriter::open(DurableOptions::new(&dir)).unwrap();
             writer.append_batch(&expected[..4]).unwrap();
             writer.append_batch(&expected[4..]).unwrap();
             assert_eq!(writer.frames(), 10);
@@ -145,7 +147,8 @@ mod tests {
         let expected = records(12);
         {
             let mut writer =
-                WalWriter::open(WalOptions::new(&dir).segment_bytes(MIN_SEGMENT_BYTES)).unwrap();
+                WalWriter::open(DurableOptions::new(&dir).segment_bytes(MIN_SEGMENT_BYTES))
+                    .unwrap();
             for chunk in expected.chunks(2) {
                 writer.append_batch(chunk).unwrap();
             }
@@ -166,12 +169,12 @@ mod tests {
     fn reopening_starts_a_fresh_generation_and_keeps_old_data() {
         let dir = fresh_dir("reopen");
         {
-            let mut writer = WalWriter::open(WalOptions::new(&dir)).unwrap();
+            let mut writer = WalWriter::open(DurableOptions::new(&dir)).unwrap();
             writer.append_batch(&records(3)).unwrap();
             assert_eq!(writer.generation(), 0);
         }
         {
-            let mut writer = WalWriter::open(WalOptions::new(&dir)).unwrap();
+            let mut writer = WalWriter::open(DurableOptions::new(&dir)).unwrap();
             assert_eq!(writer.generation(), 1);
             writer.append_batch(&records(2)).unwrap();
         }
@@ -185,7 +188,7 @@ mod tests {
     fn torn_tail_is_truncated_once_and_stays_repaired() {
         let dir = fresh_dir("torn");
         {
-            let mut writer = WalWriter::open(WalOptions::new(&dir)).unwrap();
+            let mut writer = WalWriter::open(DurableOptions::new(&dir)).unwrap();
             writer.append_batch(&records(3)).unwrap();
         }
         // Simulate a crash mid-write: append half a frame by hand.
@@ -217,7 +220,7 @@ mod tests {
     fn every_truncation_point_of_the_last_segment_recovers() {
         let dir = fresh_dir("fuzz");
         {
-            let mut writer = WalWriter::open(WalOptions::new(&dir)).unwrap();
+            let mut writer = WalWriter::open(DurableOptions::new(&dir)).unwrap();
             writer.append_batch(&records(3)).unwrap();
         }
         let path = last_segment(&dir);
@@ -258,7 +261,7 @@ mod tests {
     fn mid_log_corruption_is_a_hard_error_naming_the_offset() {
         let dir = fresh_dir("corrupt");
         {
-            let mut writer = WalWriter::open(WalOptions::new(&dir)).unwrap();
+            let mut writer = WalWriter::open(DurableOptions::new(&dir)).unwrap();
             writer.append_batch(&records(3)).unwrap();
         }
         let path = last_segment(&dir);
@@ -285,7 +288,7 @@ mod tests {
     fn checkpoint_compacts_and_recovery_starts_from_it() {
         let dir = fresh_dir("checkpoint");
         let all = records(9);
-        let mut writer = WalWriter::open(WalOptions::new(&dir)).unwrap();
+        let mut writer = WalWriter::open(DurableOptions::new(&dir)).unwrap();
         writer.append_batch(&all[..6]).unwrap();
 
         let mut kb = KnowledgeBase::new();
@@ -318,7 +321,7 @@ mod tests {
     #[test]
     fn second_checkpoint_removes_the_first() {
         let dir = fresh_dir("checkpoint-chain");
-        let mut writer = WalWriter::open(WalOptions::new(&dir)).unwrap();
+        let mut writer = WalWriter::open(DurableOptions::new(&dir)).unwrap();
         let mut kb = KnowledgeBase::new();
 
         writer.append_batch(&records(2)).unwrap();
@@ -346,7 +349,7 @@ mod tests {
         let batch = records(4);
         {
             let mut writer =
-                WalWriter::open(WalOptions::new(&dir).fault_plan(plan.clone())).unwrap();
+                WalWriter::open(DurableOptions::new(&dir).fault_plan(plan.clone())).unwrap();
             let err = writer.append_batch(&batch).unwrap_err();
             assert!(matches!(err, KbError::Wal(_)), "{err}");
             assert_eq!(writer.frames(), 0, "failed batch acknowledges nothing");
@@ -365,7 +368,7 @@ mod tests {
         let plan =
             Arc::new(FaultPlan::new(21).with(FaultRule::bit_flip(APPEND_FAULT_POINT).times(1)));
         {
-            let mut writer = WalWriter::open(WalOptions::new(&dir).fault_plan(plan)).unwrap();
+            let mut writer = WalWriter::open(DurableOptions::new(&dir).fault_plan(plan)).unwrap();
             // The flip hits frame 0; the frames after it make the
             // damage mid-log, where recovery must hard-error.
             writer.append_batch(&records(5)).unwrap();
@@ -384,7 +387,7 @@ mod tests {
     fn injected_sync_fault_rolls_back_and_surfaces() {
         let dir = fresh_dir("sync-fault");
         let plan = Arc::new(FaultPlan::new(3).with(FaultRule::error(SYNC_FAULT_POINT).times(1)));
-        let mut writer = WalWriter::open(WalOptions::new(&dir).fault_plan(plan)).unwrap();
+        let mut writer = WalWriter::open(DurableOptions::new(&dir).fault_plan(plan)).unwrap();
         let err = writer.append_batch(&records(2)).unwrap_err();
         assert!(matches!(err, KbError::Wal(_)), "{err}");
         writer.append_batch(&records(2)).unwrap();
@@ -409,7 +412,7 @@ mod tests {
         for policy in [FsyncPolicy::Always, FsyncPolicy::Batch, FsyncPolicy::Never] {
             let dir = fresh_dir("policy");
             {
-                let mut writer = WalWriter::open(WalOptions::new(&dir).fsync(policy)).unwrap();
+                let mut writer = WalWriter::open(DurableOptions::new(&dir).fsync(policy)).unwrap();
                 writer.append_batch(&expected).unwrap();
             }
             let (kb, _) = recover(&dir).unwrap();

@@ -51,8 +51,9 @@ pub fn recover(dir: impl AsRef<Path>) -> Result<(KnowledgeBase, RecoveryReport)>
     recover_with(dir, openbi_faults::active().as_deref())
 }
 
-/// [`recover()`] with an explicit fault plan (tests pass one directly).
-pub fn recover_with(
+/// [`recover()`] with an explicit fault plan (a durable store's own,
+/// or a test's).
+pub(crate) fn recover_with(
     dir: impl AsRef<Path>,
     plan: Option<&FaultPlan>,
 ) -> Result<(KnowledgeBase, RecoveryReport)> {

@@ -14,6 +14,7 @@
 
 use crate::error::{KbError, Result};
 use crate::record::ExperimentRecord;
+use crate::serving::DurableOptions;
 use crate::wal::checkpoint::latest_checkpoint;
 use crate::wal::segment::{
     encode_frame, list_segments, segment_file_name, sync_dir, SEGMENT_MAGIC,
@@ -72,47 +73,6 @@ impl fmt::Display for FsyncPolicy {
     }
 }
 
-/// Configuration for [`WalWriter::open`].
-#[derive(Debug, Clone)]
-pub struct WalOptions {
-    pub(crate) dir: PathBuf,
-    pub(crate) segment_bytes: u64,
-    pub(crate) fsync: FsyncPolicy,
-    pub(crate) fault_plan: Option<Arc<FaultPlan>>,
-}
-
-impl WalOptions {
-    /// Options for a log rooted at `dir`, with the default segment
-    /// size and fsync policy.
-    pub fn new(dir: impl Into<PathBuf>) -> WalOptions {
-        WalOptions {
-            dir: dir.into(),
-            segment_bytes: DEFAULT_SEGMENT_BYTES,
-            fsync: FsyncPolicy::default(),
-            fault_plan: None,
-        }
-    }
-
-    /// Rotate to a fresh segment once the current one reaches `bytes`
-    /// (clamped to [`MIN_SEGMENT_BYTES`]).
-    pub fn segment_bytes(mut self, bytes: u64) -> WalOptions {
-        self.segment_bytes = bytes.max(MIN_SEGMENT_BYTES);
-        self
-    }
-
-    /// Choose when the log reaches stable storage.
-    pub fn fsync(mut self, policy: FsyncPolicy) -> WalOptions {
-        self.fsync = policy;
-        self
-    }
-
-    /// Inject faults from `plan` instead of the process-global plan.
-    pub fn fault_plan(mut self, plan: Arc<FaultPlan>) -> WalOptions {
-        self.fault_plan = Some(plan);
-        self
-    }
-}
-
 /// Appends checksummed record frames to rotating segment files.
 ///
 /// Not internally synchronised — wrap in a mutex (as the serving
@@ -122,8 +82,11 @@ pub struct WalWriter {
     pub(crate) segment_bytes: u64,
     pub(crate) fsync: FsyncPolicy,
     pub(crate) fault_plan: Option<Arc<FaultPlan>>,
-    pub(crate) file: File,
-    /// Generation of the segment currently being written.
+    /// The segment being written; `None` until the first frame or
+    /// checkpoint starts one.
+    pub(crate) file: Option<File>,
+    /// Generation of the segment being written, or of the one the first
+    /// frame or checkpoint starts.
     pub(crate) generation: u64,
     /// Bytes written to the current segment, magic included.
     pub(crate) offset: u64,
@@ -184,42 +147,27 @@ fn io_err(e: std::io::Error) -> KbError {
 }
 
 impl WalWriter {
-    /// Open the log at `options.dir`, creating the directory if
-    /// needed, and start a fresh segment strictly after every existing
-    /// segment and checkpoint. Existing segments are never appended
-    /// to — recovery replays them, checkpointing compacts them.
-    pub fn open(options: WalOptions) -> Result<WalWriter> {
-        std::fs::create_dir_all(&options.dir).map_err(io_err)?;
-        let segments = list_segments(&options.dir).map_err(io_err)?;
+    /// Open the log at `options`' directory. Nothing is created or
+    /// written until the first frame or checkpoint starts a segment,
+    /// strictly after every existing segment and checkpoint. Existing
+    /// segments are never appended to — recovery replays them,
+    /// checkpointing compacts them.
+    pub fn open(options: DurableOptions) -> Result<WalWriter> {
+        let segments = list_segments(&options.wal_dir).map_err(io_err)?;
         let max_segment = segments.last().map(|(generation, _)| *generation);
-        let max_checkpoint = latest_checkpoint(&options.dir)
+        let max_checkpoint = latest_checkpoint(&options.wal_dir)
             .map_err(io_err)?
             .map(|(watermark, _)| watermark);
-        let generation = match max_segment.max(max_checkpoint) {
-            Some(max) => max + 1,
-            None => 0,
-        };
-        let path = options.dir.join(segment_file_name(generation));
-        let mut file = OpenOptions::new()
-            .create_new(true)
-            .write(true)
-            .open(&path)
-            .map_err(io_err)?;
-        file.write_all(&SEGMENT_MAGIC).map_err(io_err)?;
-        if options.fsync != FsyncPolicy::Never {
-            file.sync_data().map_err(io_err)?;
-            sync_dir(&options.dir).map_err(io_err)?;
-        }
-        let live_segments = segments.len() as u64 + 1;
+        let live_segments = segments.len() as u64;
         obs::gauge_set("kb.wal.segments", live_segments as f64);
         Ok(WalWriter {
-            dir: options.dir,
+            dir: options.wal_dir,
             segment_bytes: options.segment_bytes,
             fsync: options.fsync,
             fault_plan: options.fault_plan,
-            file,
-            generation,
-            offset: SEGMENT_MAGIC.len() as u64,
+            file: None,
+            generation: max_segment.max(max_checkpoint).map_or(0, |max| max + 1),
+            offset: 0,
             frames: 0,
             attempt: 0,
             dirty: false,
@@ -232,7 +180,8 @@ impl WalWriter {
         &self.dir
     }
 
-    /// Generation of the segment currently being written.
+    /// Generation of the segment being written, or of the one the first
+    /// frame or checkpoint starts.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -255,7 +204,7 @@ impl WalWriter {
         if records.is_empty() {
             return Ok(self.frames);
         }
-        if self.offset >= self.segment_bytes {
+        if self.file.is_none() || self.offset >= self.segment_bytes {
             self.rotate()?;
         }
         let rollback_offset = self.offset;
@@ -305,8 +254,7 @@ impl WalWriter {
                         // A short write persists a torn prefix and then
                         // fails, exactly like a crash mid-`write`. The
                         // batch rollback truncates it away.
-                        self.file.write_all(&frame).map_err(io_err)?;
-                        self.dirty = true;
+                        self.write(&frame)?;
                         return Err(KbError::Wal(format!(
                             "injected short write at frame {} (kept {kept} bytes)",
                             self.frames
@@ -315,8 +263,7 @@ impl WalWriter {
                     Err(e) => return Err(KbError::Wal(e.to_string())),
                 }
             }
-            self.file.write_all(&frame).map_err(io_err)?;
-            self.dirty = true;
+            self.write(&frame)?;
             self.offset += frame.len() as u64;
             self.frames += 1;
             bytes += frame.len() as u64;
@@ -330,8 +277,19 @@ impl WalWriter {
         Ok(bytes)
     }
 
+    /// Write `bytes` at the end of the current segment.
+    fn write(&mut self, bytes: &[u8]) -> Result<()> {
+        let file = self
+            .file
+            .as_mut()
+            .expect("append_batch starts a segment before it writes");
+        file.write_all(bytes).map_err(io_err)?;
+        self.dirty = true;
+        Ok(())
+    }
+
     /// Flush buffered frames to stable storage regardless of policy
-    /// (checkpointing and clean shutdown call this).
+    /// (checkpointing calls this).
     pub fn sync(&mut self) -> Result<()> {
         let attempt = self.attempt;
         match self.sync_inner(attempt) {
@@ -347,15 +305,15 @@ impl WalWriter {
     }
 
     fn sync_inner(&mut self, attempt: u32) -> Result<()> {
-        if !self.dirty {
+        let (true, Some(file)) = (self.dirty, &self.file) else {
             return Ok(());
-        }
+        };
         if let Some(plan) = self.plan() {
             plan.fire(SYNC_FAULT_POINT, self.generation, attempt)
                 .map_err(|e| KbError::Wal(e.to_string()))?;
         }
         let start = Instant::now();
-        self.file.sync_data().map_err(io_err)?;
+        file.sync_data().map_err(io_err)?;
         obs::observe_duration("kb.wal.fsync.seconds", start.elapsed());
         self.dirty = false;
         Ok(())
@@ -364,37 +322,49 @@ impl WalWriter {
     /// Truncate the current segment back to `offset` after a failed
     /// batch, wiping any partially written frames.
     fn rollback_to(&mut self, offset: u64, frames: u64) -> Result<()> {
-        self.file.set_len(offset).map_err(io_err)?;
-        self.file.seek(SeekFrom::Start(offset)).map_err(io_err)?;
+        if let Some(file) = &mut self.file {
+            file.set_len(offset).map_err(io_err)?;
+            file.seek(SeekFrom::Start(offset)).map_err(io_err)?;
+            // The truncation itself must reach disk before the caller
+            // retries, or a crash could resurrect the wiped bytes.
+            if self.fsync != FsyncPolicy::Never {
+                file.sync_data().map_err(io_err)?;
+            }
+        }
         self.offset = offset;
         self.frames = frames;
-        // The truncation itself must reach disk before the caller
-        // retries, or a crash could resurrect the wiped bytes.
-        if self.fsync != FsyncPolicy::Never {
-            self.file.sync_data().map_err(io_err)?;
-        }
         self.dirty = false;
         Ok(())
     }
 
-    /// Seal the current segment and start writing generation + 1.
+    /// Seal the current segment and start the next generation; with no
+    /// segment started yet, start the pending one.
     pub(crate) fn rotate(&mut self) -> Result<()> {
+        if self.file.is_none() {
+            return self.start_segment(self.generation);
+        }
         if self.fsync != FsyncPolicy::Never {
             self.sync()?;
         }
-        let generation = self.generation + 1;
-        let path = self.dir.join(segment_file_name(generation));
+        self.start_segment(self.generation + 1)
+    }
+
+    /// Create segment `generation` holding only the magic, synced with
+    /// its directory entry before any frame lands in it, and make it the
+    /// current segment.
+    fn start_segment(&mut self, generation: u64) -> Result<()> {
+        std::fs::create_dir_all(&self.dir).map_err(io_err)?;
         let mut file = OpenOptions::new()
             .create_new(true)
             .write(true)
-            .open(&path)
+            .open(self.dir.join(segment_file_name(generation)))
             .map_err(io_err)?;
         file.write_all(&SEGMENT_MAGIC).map_err(io_err)?;
         if self.fsync != FsyncPolicy::Never {
             file.sync_data().map_err(io_err)?;
             sync_dir(&self.dir).map_err(io_err)?;
         }
-        self.file = file;
+        self.file = Some(file);
         self.generation = generation;
         self.offset = SEGMENT_MAGIC.len() as u64;
         self.dirty = false;
@@ -409,7 +379,9 @@ impl Drop for WalWriter {
         // Best-effort flush on clean shutdown; no fault injection here
         // (a drop during unwinding must not panic or inject).
         if self.dirty && self.fsync != FsyncPolicy::Never {
-            let _ = self.file.sync_data();
+            if let Some(file) = &self.file {
+                let _ = file.sync_data();
+            }
         }
     }
 }

@@ -32,13 +32,15 @@ impl Default for CsvOptions {
     }
 }
 
-/// Split CSV text into records of raw string fields.
-fn parse_records(text: &str, delimiter: char) -> Result<Vec<Vec<String>>> {
+/// Split CSV text into records of raw string fields, each with the
+/// line it starts on.
+fn parse_records(text: &str, delimiter: char) -> Result<Vec<(usize, Vec<String>)>> {
     let mut records = Vec::new();
     let mut record: Vec<String> = Vec::new();
     let mut field = String::new();
     let mut in_quotes = false;
     let mut line = 1usize;
+    let mut record_line = line;
     let mut chars = text.chars().peekable();
     let mut saw_any = false;
     while let Some(ch) = chars.next() {
@@ -72,14 +74,15 @@ fn parse_records(text: &str, delimiter: char) -> Result<Vec<Vec<String>>> {
                 }
                 '\r' => { /* tolerate CRLF */ }
                 '\n' => {
-                    line += 1;
                     record.push(std::mem::take(&mut field));
                     // Skip completely empty trailing lines.
                     if !(record.len() == 1 && record[0].is_empty()) {
-                        records.push(std::mem::take(&mut record));
+                        records.push((record_line, std::mem::take(&mut record)));
                     } else {
                         record.clear();
                     }
+                    line += 1;
+                    record_line = line;
                 }
                 c if c == delimiter => record.push(std::mem::take(&mut field)),
                 c => field.push(c),
@@ -95,7 +98,7 @@ fn parse_records(text: &str, delimiter: char) -> Result<Vec<Vec<String>>> {
     if saw_any && (!field.is_empty() || !record.is_empty()) {
         record.push(field);
         if !(record.len() == 1 && record[0].is_empty()) {
-            records.push(record);
+            records.push((record_line, record));
         }
     }
     Ok(records)
@@ -148,26 +151,26 @@ pub fn read_csv_str(text: &str, options: &CsvOptions) -> Result<Table> {
     if records.is_empty() {
         return Ok(Table::empty());
     }
-    let (header, body): (Vec<String>, &[Vec<String>]) = if options.has_header {
-        (records[0].clone(), &records[1..])
+    let (header, body): (Vec<String>, &[(usize, Vec<String>)]) = if options.has_header {
+        (records[0].1.clone(), &records[1..])
     } else {
         (
-            (0..records[0].len()).map(|i| format!("c{i}")).collect(),
+            (0..records[0].1.len()).map(|i| format!("c{i}")).collect(),
             &records[..],
         )
     };
     let ncols = header.len();
-    for (i, rec) in body.iter().enumerate() {
+    for (line, rec) in body {
         if rec.len() != ncols {
             return Err(TableError::CsvParse {
-                line: i + if options.has_header { 2 } else { 1 },
+                line: *line,
                 message: format!("expected {ncols} fields, found {}", rec.len()),
             });
         }
     }
     let mut columns = Vec::with_capacity(ncols);
     for (ci, name) in header.iter().enumerate() {
-        let tokens: Vec<&str> = body.iter().map(|r| r[ci].as_str()).collect();
+        let tokens: Vec<&str> = body.iter().map(|(_, r)| r[ci].as_str()).collect();
         let dtype = if options.infer_types {
             infer_dtype(&tokens)
         } else {
@@ -297,10 +300,18 @@ mod tests {
 
     #[test]
     fn ragged_row_is_error_with_line_number() {
-        let err = read_csv_str("a,b\n1,2\n3\n", &CsvOptions::default()).unwrap_err();
-        match err {
-            TableError::CsvParse { line, .. } => assert_eq!(line, 3),
-            other => panic!("unexpected error {other:?}"),
+        // A blank line or a quoted newline before the ragged row moves
+        // it down a line.
+        for (text, expected) in [
+            ("a,b\n1,2\n3\n", 3),
+            ("a,b\n1,2\n\n3\n", 4),
+            ("a,b\n\"x\ny\",2\n3\n", 4),
+        ] {
+            let err = read_csv_str(text, &CsvOptions::default()).unwrap_err();
+            match err {
+                TableError::CsvParse { line, .. } => assert_eq!(line, expected, "{text:?}"),
+                other => panic!("unexpected error {other:?}"),
+            }
         }
     }
 

@@ -25,7 +25,7 @@
 use openbi::experiment::{run_phase1_report, Criterion, ExperimentConfig, ExperimentDataset};
 use openbi::kb::{
     recover, DurableOptions, ExperimentRecord, FsyncPolicy, KbError, KnowledgeBase,
-    SnapshotKnowledgeBase, WalOptions, WalWriter,
+    SnapshotKnowledgeBase, WalWriter,
 };
 use openbi::mining::AlgorithmSpec;
 use openbi_datagen::{make_blobs, BlobsConfig};
@@ -130,7 +130,7 @@ fn every_truncation_of_the_tail_segment_recovers() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(10);
     let dir = fresh_dir("fuzz-src");
-    let mut writer = WalWriter::open(WalOptions::new(&dir).fsync(FsyncPolicy::Never)).unwrap();
+    let mut writer = WalWriter::open(DurableOptions::new(&dir).fsync(FsyncPolicy::Never)).unwrap();
     for i in 0..frames {
         writer.append_batch(&[record(i)]).unwrap();
     }
@@ -184,7 +184,7 @@ const SIGKILL_MIN_ACKED: usize = 25;
 /// until the parent's SIGKILL lands.
 fn sigkill_child(dir: &Path) {
     let mut writer =
-        WalWriter::open(WalOptions::new(dir.join("wal")).fsync(FsyncPolicy::Always)).unwrap();
+        WalWriter::open(DurableOptions::new(dir.join("wal")).fsync(FsyncPolicy::Always)).unwrap();
     for i in 0..SIGKILL_TOTAL {
         writer.append_batch(&[record(i)]).unwrap();
         let tmp = dir.join("acked.tmp");
@@ -260,7 +260,7 @@ fn sigkill_mid_run_recovers_every_acknowledged_record() {
         .map(record)
         .filter(|r| !recovered.contains(&serde_json::to_string(r).unwrap()))
         .collect();
-    let mut writer = WalWriter::open(WalOptions::new(&wal_dir)).unwrap();
+    let mut writer = WalWriter::open(DurableOptions::new(&wal_dir)).unwrap();
     writer.append_batch(&missing).unwrap();
     drop(writer);
     let (resumed, _) = recover(&wal_dir).unwrap();
@@ -452,7 +452,7 @@ fn wal_metrics_are_counted_exactly() {
         .iter()
         .map(|r| encode_frame(serde_json::to_string(r).unwrap().as_bytes()).len() as u64)
         .sum();
-    let mut writer = WalWriter::open(WalOptions::new(&dir).fsync(FsyncPolicy::Always)).unwrap();
+    let mut writer = WalWriter::open(DurableOptions::new(&dir).fsync(FsyncPolicy::Always)).unwrap();
     writer.append_batch(&records[..3]).unwrap();
     writer.append_batch(&records[3..]).unwrap();
     drop(writer);
@@ -469,7 +469,7 @@ fn wal_metrics_are_counted_exactly() {
     assert_eq!(report.truncated_bytes as usize, torn - 3);
 
     // Checkpoint the recovered state.
-    let mut writer = WalWriter::open(WalOptions::new(&dir)).unwrap();
+    let mut writer = WalWriter::open(DurableOptions::new(&dir)).unwrap();
     let checkpoint = writer.checkpoint(&kb).unwrap();
     assert_eq!(checkpoint.records, 4);
     drop(writer);
