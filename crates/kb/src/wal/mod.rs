@@ -217,6 +217,34 @@ mod tests {
     }
 
     #[test]
+    fn torn_segment_magic_is_removed_and_its_generation_restarts() {
+        let dir = fresh_dir("torn-magic");
+        let expected = records(3);
+        {
+            let mut writer = WalWriter::open(DurableOptions::new(&dir)).unwrap();
+            writer.append_batch(&expected[..2]).unwrap();
+        }
+        // Simulate a crash while the next segment's magic was written.
+        let torn = dir.join(segment::segment_file_name(1));
+        std::fs::write(&torn, &segment::SEGMENT_MAGIC[..3]).unwrap();
+        let (kb, report) = recover(&dir).unwrap();
+        assert_eq!(kb.len(), 2);
+        assert_eq!(report.truncated_bytes, 3);
+        assert!(!torn.exists(), "the headerless segment is removed");
+        {
+            let mut writer = WalWriter::open(DurableOptions::new(&dir)).unwrap();
+            assert_eq!(writer.generation(), 1, "the torn generation starts afresh");
+            writer.append_batch(&expected[2..]).unwrap();
+        }
+        let (kb, report) = recover(&dir).unwrap();
+        let mut reference = KnowledgeBase::new();
+        reference.add_batch(expected);
+        assert_eq!(fingerprint(&kb), fingerprint(&reference));
+        assert_eq!(report.truncated_bytes, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn every_truncation_point_of_the_last_segment_recovers() {
         let dir = fresh_dir("fuzz");
         {

@@ -8,7 +8,8 @@
 //!   replayed, bit for bit;
 //! * a *torn tail* — the file ends inside the final frame of the final
 //!   segment, the only shape a crashed `write` can leave — is
-//!   physically truncated away and reported, never treated as data;
+//!   physically truncated away and reported, never treated as data; a
+//!   final segment torn inside its magic is deleted;
 //! * anything else (checksum mismatch, impossible length, damage
 //!   before the end of the log) is a hard [`KbError::WalCorrupt`]
 //!   naming the segment file and byte offset, because silently
@@ -17,7 +18,7 @@
 use crate::error::{KbError, Result};
 use crate::store::KnowledgeBase;
 use crate::wal::checkpoint::latest_checkpoint;
-use crate::wal::segment::{decode_frame, list_segments, FrameDecode, SEGMENT_MAGIC};
+use crate::wal::segment::{decode_frame, list_segments, sync_dir, FrameDecode, SEGMENT_MAGIC};
 use crate::wal::RECOVER_FAULT_POINT;
 use openbi_faults::FaultPlan;
 use openbi_obs as obs;
@@ -120,10 +121,14 @@ pub(crate) fn recover_with(
 
         if data.len() < SEGMENT_MAGIC.len() {
             // Crash while writing the 8-byte magic itself: a torn tail
-            // at offset zero. Only tolerable in the final segment.
+            // at offset zero. Only tolerable in the final segment, which
+            // holds no frame and goes, so the next writer starts its
+            // generation afresh instead of leaving it headerless before
+            // the next segment.
             if is_last {
                 truncated_bytes += data.len() as u64;
-                truncate_file(path, 0)?;
+                std::fs::remove_file(path).map_err(io_err)?;
+                sync_dir(dir).map_err(io_err)?;
                 break;
             }
             return Err(KbError::WalCorrupt {

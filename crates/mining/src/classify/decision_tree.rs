@@ -9,13 +9,18 @@
 //! drawn.
 //!
 //! Split search is columnar. Each numeric attribute of a training view is
-//! sorted once (`Presorted`; a forest sorts once for all of its trees),
-//! and every node derives its sorted value lists by filtering its
-//! parent's, so no node re-sorts. Class counts accumulate as exact
-//! integers, so every entropy and split-info term is a function of two
-//! integers; every fit reads such terms from one process-wide table,
-//! which computes each with the same expression once per process (terms
-//! with a denominator above the table's cap are always computed).
+//! sorted once (`Presorted`; a forest sorts once for all of its trees).
+//! A fit lays out one arena: its rows in one vector and one
+//! `(value, class, multiplicity, row)` list per numeric attribute it
+//! searches, narrowed from the presort at the root, with every node a
+//! contiguous segment of each. A split marks each row's child once and
+//! stable-partitions the node's segments in place, so every child's
+//! lists keep the parent's sorted order and no node re-sorts, filters or
+//! allocates a list. Class counts accumulate as exact integers, so every
+//! entropy and split-info term is a function of two integers; every fit
+//! reads such terms from one process-wide table, which computes each
+//! with the same expression once per process (terms with a denominator
+//! above the table's cap are always computed).
 
 use super::{check_attributes, Classifier};
 use crate::error::{MiningError, Result};
@@ -190,46 +195,101 @@ impl<'a> Presorted<'a> {
     }
 }
 
-/// Per-fit state threaded through the recursive build.
+/// One present cell of a numeric attribute in a fit's arena: its value,
+/// and its row with the row's class and multiplicity.
+#[derive(Clone, Copy)]
+struct Cell {
+    value: f64,
+    class: usize,
+    weight: usize,
+    row: usize,
+}
+
+/// The mark of a row whose split cell is missing, until the split knows
+/// its `missing_to` child.
+const MISSING: usize = usize::MAX;
+
+/// Per-fit state threaded through the recursive build: one arena for the
+/// whole fit.
 ///
-/// Every node derives its own sorted value lists by filtering its
-/// parent's lists with a membership stamp (a stable filter preserves
-/// sort order), so no node ever re-sorts and per-level work shrinks with
-/// the partitions. A node holds each of its rows once, with the row's
-/// multiplicity.
+/// The fit's rows sit in one vector, and the present cells of each
+/// numeric attribute split search reads in one list in ascending value
+/// order; every node owns one contiguous segment of each. A split
+/// stable-partitions its node's segments in place by each row's child,
+/// so every child's cells keep the parent's order (nothing re-sorts) and
+/// the children own consecutive segments. A node holds each of its rows
+/// once, with the row's multiplicity.
 struct FitCtx<'t> {
     train: &'t Presorted<'t>,
     /// Multiplicity of each view row.
     weights: &'t [usize],
     /// The attributes split search reads.
     attrs: Vec<usize>,
-    /// Node-membership stamps (one slot per view row; bumping the
-    /// counter invalidates the previous node's marks without an O(n)
-    /// clear).
-    stamp: Vec<u32>,
-    counter: u32,
-    /// Scratch: the node's `(value, class, multiplicity)` triples in
-    /// ascending value order (reused across attributes and nodes).
-    vals: Vec<(f64, usize, usize)>,
-    /// Scratch class-count accumulators.
+    /// The fit's rows.
+    rows: Vec<usize>,
+    /// Per entry of `attrs`: its cells when it is numeric, else empty.
+    cells: Vec<Vec<Cell>>,
+    /// Segment bounds, one frame per node being built: the start and end
+    /// of the node's rows, then of its segment of each list in `cells`.
+    bounds: Vec<usize>,
+    /// The bucket of each row of the node being split: its child, the
+    /// child count for a row no child takes, or [`MISSING`].
+    branch: Vec<usize>,
+    /// Scratch reused across nodes: partition buffers and offsets, the
+    /// node's class counts, prefix class counts for numeric scans, and
+    /// per-category sizes and (category-major) class counts for nominal
+    /// scans and child weights.
+    row_scratch: Vec<usize>,
+    cell_scratch: Vec<Cell>,
+    offsets: Vec<usize>,
+    node_counts: Vec<usize>,
     total_counts: Vec<usize>,
     left_counts: Vec<usize>,
+    sizes: Vec<usize>,
+    category_counts: Vec<usize>,
 }
 
 impl FitCtx<'_> {
-    /// Total multiplicity of `rows`.
-    fn weight(&self, rows: &[usize]) -> usize {
-        rows.iter().map(|&i| self.weights[i]).sum()
+    /// Values per node frame in `bounds`.
+    fn frame_len(&self) -> usize {
+        2 * (1 + self.cells.len())
     }
+}
+
+/// Stable-partition `seg` by `bucket` into buckets `0..offsets.len() - 1`,
+/// one branch-free pass per bucket into `scratch`; afterwards bucket `b`
+/// is `offsets[b]..offsets[b + 1]`. An item of a higher bucket reaches
+/// none of them.
+fn stable_partition<T: Copy>(
+    seg: &mut [T],
+    bucket: impl Fn(&T) -> usize,
+    offsets: &mut [usize],
+    scratch: &mut Vec<T>,
+) {
+    let Some(&first) = seg.first() else {
+        offsets.fill(0);
+        return;
+    };
+    // One spare slot takes the writes of a pass's trailing misses.
+    scratch.clear();
+    scratch.resize(seg.len() + 1, first);
+    let buckets = offsets.len() - 1;
+    let mut w = 0;
+    for (b, start) in offsets[..buckets].iter_mut().enumerate() {
+        *start = w;
+        for x in seg.iter() {
+            scratch[w] = *x;
+            w += usize::from(bucket(x) == b);
+        }
+    }
+    offsets[buckets] = w;
+    seg[..w].copy_from_slice(&scratch[..w]);
 }
 
 struct Split {
     attribute: usize,
     /// `Some(threshold)` for numeric, `None` for nominal.
     threshold: Option<f64>,
-    /// Row partitions (numeric: [left, right]; nominal: per category).
-    partitions: Vec<Vec<usize>>,
-    missing_rows: Vec<usize>,
 }
 
 impl DecisionTree {
@@ -274,20 +334,17 @@ impl DecisionTree {
             .unwrap_or(0)
     }
 
-    /// Scan every candidate split of a node of total multiplicity `n` and
-    /// return the winner. Only `(attr, threshold, gain_ratio)` is tracked
-    /// during the scan; the winning partition index vectors are rebuilt
-    /// once at the end, instead of on every improvement. The comparison
-    /// sequence (attribute order, then ascending value order, strict `>`
-    /// on gain ratio) matches the row-major reference, so the chosen split
-    /// is identical.
+    /// Scan every candidate split of the node in `frame`, of total
+    /// multiplicity `n`, and return the winner. The comparison sequence
+    /// (attribute order, then ascending value order, strict `>` on gain
+    /// ratio) matches the row-major reference, so the chosen split is
+    /// identical.
     fn best_split(
         &self,
-        rows: &[usize],
+        frame: usize,
         n: usize,
         parent_entropy: f64,
         ctx: &mut FitCtx<'_>,
-        sorted: &[Option<Vec<(usize, f64)>>],
     ) -> Option<Split> {
         let n = n as f64;
         // (gain_ratio, attribute, Some(threshold) | None = nominal).
@@ -296,31 +353,28 @@ impl DecisionTree {
             train,
             weights,
             attrs,
-            vals,
+            rows,
+            cells,
+            bounds,
             total_counts,
             left_counts,
+            sizes,
+            category_counts,
             ..
         } = ctx;
         let data = train.data;
         let n_classes = data.n_classes();
-        for &a in attrs.iter() {
-            let col = data.col(a);
+        let rows = &rows[bounds[frame]..bounds[frame + 1]];
+        for (j, &a) in attrs.iter().enumerate() {
             match &data.attribute(a).kind {
                 AttrKind::Numeric => {
-                    // The node's present `(value, class, multiplicity)`
-                    // triples in ascending value order, straight from the
-                    // node's filtered sort list. Buffers are reused across
-                    // attributes and nodes.
-                    let list = sorted[a]
-                        .as_ref()
-                        .expect("every numeric attribute of the fit is presorted");
-                    vals.clear();
-                    vals.extend(list.iter().map(|&(i, v)| (v, train.class(i), weights[i])));
+                    // The node's present cells in ascending value order.
+                    let seg = &cells[j][bounds[frame + 2 + 2 * j]..bounds[frame + 3 + 2 * j]];
                     // Prefix class counts for O(1) split evaluation.
                     total_counts.clear();
                     total_counts.resize(n_classes, 0);
-                    for &(_, l, w) in vals.iter() {
-                        total_counts[l] += w;
+                    for c in seg {
+                        total_counts[c.class] += c.weight;
                     }
                     let present_n: usize = total_counts.iter().sum();
                     if present_n < 2 * self.min_leaf {
@@ -330,9 +384,14 @@ impl DecisionTree {
                     left_counts.clear();
                     left_counts.resize(n_classes, 0);
                     let mut left_n = 0usize;
-                    for pair in vals.windows(2) {
-                        let (v, l, w) = pair[0];
-                        let next_v = pair[1].0;
+                    for pair in seg.windows(2) {
+                        let Cell {
+                            value: v,
+                            class: l,
+                            weight: w,
+                            ..
+                        } = pair[0];
+                        let next_v = pair[1].value;
                         left_n += w;
                         left_counts[l] += w;
                         // Copies of a row share its value, so no
@@ -371,10 +430,12 @@ impl DecisionTree {
                     if dict.len() < 2 {
                         continue;
                     }
-                    // Per-category sizes and class counts in one pass —
-                    // no per-category index vectors during the scan.
-                    let mut sizes = vec![0usize; dict.len()];
-                    let mut counts = vec![vec![0usize; n_classes]; dict.len()];
+                    // Per-category sizes and class counts in one pass.
+                    let col = data.col(a);
+                    sizes.clear();
+                    sizes.resize(dict.len(), 0);
+                    category_counts.clear();
+                    category_counts.resize(dict.len() * n_classes, 0);
                     let mut present_n = 0usize;
                     for &i in rows {
                         if let Some(v) = col.get(i) {
@@ -383,7 +444,7 @@ impl DecisionTree {
                             let idx = v as usize;
                             if idx < dict.len() {
                                 sizes[idx] += w;
-                                counts[idx][train.class(i)] += w;
+                                category_counts[idx * n_classes + train.class(i)] += w;
                             }
                         }
                     }
@@ -397,7 +458,7 @@ impl DecisionTree {
                     }
                     let mut child_entropy = 0.0;
                     let mut split_info = 0.0;
-                    for (s, c) in sizes.iter().zip(&counts) {
+                    for (s, c) in sizes.iter().zip(category_counts.chunks_exact(n_classes)) {
                         if *s == 0 {
                             continue;
                         }
@@ -416,126 +477,126 @@ impl DecisionTree {
                 }
             }
         }
-        // Rebuild the winning split's partitions (row order, exactly as
-        // the scan-time builds did).
         let (_, attribute, threshold) = best?;
-        let col = data.col(attribute);
-        let mut missing_rows: Vec<usize> = Vec::new();
-        let partitions: Vec<Vec<usize>> = match threshold {
-            Some(t) => {
-                let mut left = Vec::new();
-                let mut right = Vec::new();
-                for &i in rows {
-                    match col.get(i) {
-                        Some(v) => {
-                            if v <= t {
-                                left.push(i);
-                            } else {
-                                right.push(i);
-                            }
-                        }
-                        None => missing_rows.push(i),
-                    }
-                }
-                vec![left, right]
-            }
-            None => {
-                let AttrKind::Nominal(dict) = &data.attribute(attribute).kind else {
-                    unreachable!("nominal winner on a numeric attribute");
-                };
-                let mut partitions: Vec<Vec<usize>> = vec![Vec::new(); dict.len()];
-                for &i in rows {
-                    match col.get(i) {
-                        Some(v) => {
-                            let idx = v as usize;
-                            if idx < dict.len() {
-                                partitions[idx].push(i);
-                            }
-                        }
-                        None => missing_rows.push(i),
-                    }
-                }
-                partitions
-            }
-        };
         Some(Split {
             attribute,
             threshold,
-            partitions,
-            missing_rows,
         })
     }
 
-    fn build(
-        &self,
-        rows: &[usize],
-        depth: usize,
-        ctx: &mut FitCtx<'_>,
-        parent_sorted: &[Option<Vec<(usize, f64)>>],
-    ) -> Node {
-        let mut counts = vec![0usize; ctx.train.data.n_classes()];
+    /// Send the rows of the node in `frame` down `split`: mark each row's
+    /// child once, stable-partition the node's segments in place and push
+    /// one frame per child after the last frame. Missing rows follow the
+    /// child of most present multiplicity (the last one on a tie); a
+    /// nominal code outside the dictionary reaches no child. Returns the
+    /// child count and `missing_to`.
+    fn partition(&self, split: &Split, frame: usize, ctx: &mut FitCtx<'_>) -> (usize, usize) {
+        let data = ctx.train.data;
+        let col = data.col(split.attribute);
+        let k = match (&data.attribute(split.attribute).kind, split.threshold) {
+            (_, Some(_)) => 2,
+            (AttrKind::Nominal(dict), None) => dict.len(),
+            (AttrKind::Numeric, None) => unreachable!("nominal winner on a numeric attribute"),
+        };
+        // The child of a present value; `k` when no child takes it.
+        let child = |v: f64| match split.threshold {
+            // Keep the reference's `<=` comparison.
+            Some(t) => {
+                if v <= t {
+                    0
+                } else {
+                    1
+                }
+            }
+            None => (v as usize).min(k),
+        };
+        let (lo, hi) = (ctx.bounds[frame], ctx.bounds[frame + 1]);
+        let sizes = &mut ctx.sizes;
+        sizes.clear();
+        sizes.resize(k + 1, 0);
+        for &i in &ctx.rows[lo..hi] {
+            let b = col.get(i).map_or(MISSING, child);
+            ctx.branch[i] = b;
+            if b != MISSING {
+                sizes[b] += ctx.weights[i];
+            }
+        }
+        let missing_to = sizes[..k]
+            .iter()
+            .enumerate()
+            .max_by_key(|&(_, w)| *w)
+            .map(|(c, _)| c)
+            .unwrap_or(0);
+        for &i in &ctx.rows[lo..hi] {
+            if ctx.branch[i] == MISSING {
+                ctx.branch[i] = missing_to;
+            }
+        }
+        let frame_len = ctx.frame_len();
+        let base = ctx.bounds.len();
+        ctx.bounds.resize(base + k * frame_len, 0);
+        ctx.offsets.clear();
+        ctx.offsets.resize(k + 1, 0);
+        for m in 0..frame_len / 2 {
+            let (lo, hi) = (ctx.bounds[frame + 2 * m], ctx.bounds[frame + 2 * m + 1]);
+            if m == 0 {
+                stable_partition(
+                    &mut ctx.rows[lo..hi],
+                    |&i| ctx.branch[i],
+                    &mut ctx.offsets,
+                    &mut ctx.row_scratch,
+                );
+            } else {
+                stable_partition(
+                    &mut ctx.cells[m - 1][lo..hi],
+                    |c| ctx.branch[c.row],
+                    &mut ctx.offsets,
+                    &mut ctx.cell_scratch,
+                );
+            }
+            for c in 0..k {
+                let at = base + c * frame_len + 2 * m;
+                ctx.bounds[at] = lo + ctx.offsets[c];
+                ctx.bounds[at + 1] = lo + ctx.offsets[c + 1];
+            }
+        }
+        (k, missing_to)
+    }
+
+    fn build(&self, frame: usize, depth: usize, ctx: &mut FitCtx<'_>) -> Node {
+        let (lo, hi) = (ctx.bounds[frame], ctx.bounds[frame + 1]);
+        ctx.node_counts.clear();
+        ctx.node_counts.resize(ctx.train.data.n_classes(), 0);
         let mut n = 0;
-        for &i in rows {
+        for &i in &ctx.rows[lo..hi] {
             let w = ctx.weights[i];
             n += w;
-            counts[ctx.train.class(i)] += w;
+            ctx.node_counts[ctx.train.class(i)] += w;
         }
-        let majority = Self::majority(&counts);
+        let counts = &ctx.node_counts;
+        let majority = Self::majority(counts);
         let non_zero_classes = counts.iter().filter(|&&c| c > 0).count();
         if depth >= self.max_depth || n < 2 * self.min_leaf || non_zero_classes <= 1 {
             return Node::Leaf { class: majority };
         }
-        // Derive this node's sorted lists by stable-filtering the parent's
-        // with a membership stamp — order is preserved, nothing re-sorts,
-        // and leaves (handled above) never pay for it. At the root the
-        // parent's lists are the training view's presort, which this
-        // narrows to the fit's rows and attributes.
-        ctx.counter += 1;
-        for &i in rows {
-            ctx.stamp[i] = ctx.counter;
-        }
-        let (stamp, counter) = (&ctx.stamp, ctx.counter);
-        let mut sorted: Vec<Option<Vec<(usize, f64)>>> = vec![None; parent_sorted.len()];
-        for &a in &ctx.attrs {
-            if let Some(list) = &parent_sorted[a] {
-                sorted[a] = Some(
-                    list.iter()
-                        .copied()
-                        .filter(|&(i, _)| stamp[i] == counter)
-                        .collect(),
-                );
-            }
-        }
         let parent_entropy = entropy(counts.iter().copied(), n);
-        let Some(split) = self.best_split(rows, n, parent_entropy, ctx, &sorted) else {
+        let Some(split) = self.best_split(frame, n, parent_entropy, ctx) else {
             return Node::Leaf { class: majority };
         };
-        // Missing rows follow the most populated partition (by total
-        // multiplicity, the last one on a tie).
-        let missing_to = split
-            .partitions
-            .iter()
-            .map(|p| ctx.weight(p))
-            .enumerate()
-            .max_by_key(|&(_, w)| w)
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        let children: Vec<Node> = split
-            .partitions
-            .iter()
-            .enumerate()
-            .map(|(pi, partition)| {
-                let mut child_rows = partition.clone();
-                if pi == missing_to {
-                    child_rows.extend_from_slice(&split.missing_rows);
-                }
-                if child_rows.is_empty() {
+        let base = ctx.bounds.len();
+        let (k, missing_to) = self.partition(&split, frame, ctx);
+        let frame_len = ctx.frame_len();
+        let children: Vec<Node> = (0..k)
+            .map(|c| {
+                let child = base + c * frame_len;
+                if ctx.bounds[child] == ctx.bounds[child + 1] {
                     Node::Leaf { class: majority }
                 } else {
-                    self.build(&child_rows, depth + 1, ctx, &sorted)
+                    self.build(child, depth + 1, ctx)
                 }
             })
             .collect();
+        ctx.bounds.truncate(base);
         match split.threshold {
             Some(threshold) => Node::NumericSplit {
                 attribute: split.attribute,
@@ -556,19 +617,52 @@ impl DecisionTree {
     /// `weights[i]` times. A row of multiplicity 0 is left out; every
     /// other row must be labeled, and at least one must be.
     pub(crate) fn fit_weighted(&mut self, train: &Presorted<'_>, weights: &[usize]) {
+        let data = train.data;
+        let n_attributes = data.n_attributes();
+        let attrs = self.attributes(n_attributes);
         let rows: Vec<usize> = (0..weights.len()).filter(|&i| weights[i] > 0).collect();
-        let n_attributes = train.data.n_attributes();
+        // The arena's lists: each numeric presort narrowed to the fit's
+        // rows, in its sorted order.
+        let cells: Vec<Vec<Cell>> = attrs
+            .iter()
+            .map(|&a| match data.attribute(a).kind {
+                AttrKind::Numeric => train.sorted[a]
+                    .as_ref()
+                    .expect("every numeric attribute of the fit is presorted")
+                    .iter()
+                    .filter(|&&(row, _)| weights[row] > 0)
+                    .map(|&(row, value)| Cell {
+                        value,
+                        class: train.class(row),
+                        weight: weights[row],
+                        row,
+                    })
+                    .collect(),
+                AttrKind::Nominal(_) => Vec::new(),
+            })
+            .collect();
+        let mut bounds = vec![0, rows.len()];
+        for list in &cells {
+            bounds.extend([0, list.len()]);
+        }
         let mut ctx = FitCtx {
             train,
             weights,
-            attrs: self.attributes(n_attributes),
-            stamp: vec![0u32; weights.len()],
-            counter: 0,
-            vals: Vec::new(),
+            attrs,
+            rows,
+            cells,
+            bounds,
+            branch: vec![0; weights.len()],
+            row_scratch: Vec::new(),
+            cell_scratch: Vec::new(),
+            offsets: Vec::new(),
+            node_counts: Vec::new(),
             total_counts: Vec::new(),
             left_counts: Vec::new(),
+            sizes: Vec::new(),
+            category_counts: Vec::new(),
         };
-        self.root = Some(self.build(&rows, 0, &mut ctx, &train.sorted));
+        self.root = Some(self.build(0, 0, &mut ctx));
         self.n_attributes = n_attributes;
     }
 }

@@ -11,10 +11,11 @@
 //! Each nominal attribute keeps one code per row, the weight index of
 //! its hot column, so the exact `0·w` terms of the cold columns are never
 //! formed. The gradient reads a row-major block of the numeric cells plus
-//! a constant 1 for the bias, and adds each row's error to the weight of
-//! its hot columns only. Every weight and every score gets the sum the
-//! dense design matrix gave it, term by term; only the sign of an
-//! all-zero score can differ, and `sigmoid(+0) == sigmoid(-0)`.
+//! a constant 1 for the bias, eight columns per pass with their sums in
+//! registers, and adds each row's error to the weight of its hot columns
+//! only. Every weight and every score gets the sum the dense design
+//! matrix gave it, term by term; only the sign of an all-zero score can
+//! differ, and `sigmoid(+0) == sigmoid(-0)`.
 
 use super::{check_attributes, Classifier};
 use crate::error::{MiningError, Result};
@@ -196,6 +197,55 @@ fn scores(design: &Design, w: &[f64], z: &mut [f64]) {
     }
 }
 
+/// Columns whose gradient sums one pass over the rows keeps in registers.
+const GRADIENT_GROUP: usize = 8;
+
+/// The gradient of the row-major numeric block: `Σ_r err[r]·x[r][k]` for
+/// every column `k` of the `grad.len()`-wide rows into `grad[k]`. The
+/// columns go [`GRADIENT_GROUP`] at a time (one shorter group for the
+/// rest), each group's sums held in a local array over one pass; every
+/// sum starts at `+0` and adds the rows in order.
+fn numeric_gradient(rows: &[f64], err: &[f64], grad: &mut [f64]) {
+    let stride = grad.len();
+    for (c0, g) in (0..stride)
+        .step_by(GRADIENT_GROUP)
+        .zip(grad.chunks_mut(GRADIENT_GROUP))
+    {
+        // A group's width is a constant, so its sums stay in registers.
+        match g.len() {
+            1 => gradient_group::<1>(rows, stride, c0, err, g),
+            2 => gradient_group::<2>(rows, stride, c0, err, g),
+            3 => gradient_group::<3>(rows, stride, c0, err, g),
+            4 => gradient_group::<4>(rows, stride, c0, err, g),
+            5 => gradient_group::<5>(rows, stride, c0, err, g),
+            6 => gradient_group::<6>(rows, stride, c0, err, g),
+            7 => gradient_group::<7>(rows, stride, c0, err, g),
+            _ => gradient_group::<GRADIENT_GROUP>(rows, stride, c0, err, g),
+        }
+    }
+}
+
+/// The gradient sums of columns `c0..c0 + N` of the `stride`-wide rows,
+/// into `g`.
+fn gradient_group<const N: usize>(
+    rows: &[f64],
+    stride: usize,
+    c0: usize,
+    err: &[f64],
+    g: &mut [f64],
+) {
+    let mut acc = [0.0f64; N];
+    for (x, e) in rows.chunks_exact(stride).zip(err) {
+        let x: &[f64; N] = x[c0..c0 + N]
+            .try_into()
+            .expect("a group lies inside the row");
+        for (a, xi) in acc.iter_mut().zip(x) {
+            *a += e * xi;
+        }
+    }
+    g.copy_from_slice(&acc);
+}
+
 fn sigmoid(z: f64) -> f64 {
     if z >= 0.0 {
         1.0 / (1.0 + (-z).exp())
@@ -232,12 +282,7 @@ impl LogisticRegression {
             for ((e, zr), yr) in err.iter_mut().zip(&z).zip(y) {
                 *e = sigmoid(zr + w[width]) - yr;
             }
-            numeric_grad.fill(0.0);
-            for (x, e) in design.numeric_rows.chunks_exact(stride).zip(&err) {
-                for (g, xi) in numeric_grad.iter_mut().zip(x) {
-                    *g += e * xi;
-                }
-            }
+            numeric_gradient(&design.numeric_rows, &err, &mut numeric_grad);
             grad.fill(0.0);
             for (&j, g) in design.numeric_weights.iter().zip(&numeric_grad) {
                 grad[j] = *g;

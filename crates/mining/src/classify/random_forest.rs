@@ -2,7 +2,8 @@
 //! and majority voting. A bootstrap sample is a multiplicity per training
 //! row (how often it was drawn), not a view that repeats rows, and every
 //! numeric attribute of the training view is sorted once per fit for all
-//! of its trees.
+//! of its trees. Each tree narrows that presort to its drawn rows and
+//! its attributes in one arena, which its splits partition in place.
 
 use super::decision_tree::Presorted;
 use super::{Classifier, DecisionTree};

@@ -18,7 +18,9 @@
 //!    vs. `reference::cross_validate` (cloning `subset()` folds). Fold
 //!    assignment is the same code path in both, so a mismatch is a
 //!    kernel difference. It runs a small roster on every corpus (see
-//!    [`corpora`]), and the `standard_suite` settings the §3.1 grid uses.
+//!    [`corpora`]), and the `standard_suite` settings the §3.1 grid uses,
+//!    also on the nominal corpora rebuilt row by row with codes outside
+//!    their dictionaries.
 //!    The live side stores a NaN or ±∞ cell as missing, so the reference
 //!    reads each corpus with those cells null (`null_nonfinite`).
 //! 2. **Holdout layer** — view-based `fit_view`/`predict_view` vs.
@@ -31,11 +33,14 @@
 //!    forest's CV results on the `kb_build` datasets and of the tree's on
 //!    the `pipeline_mix` tables, taken before the trees fitted bootstrap
 //!    samples as row multiplicities and read their split terms from a
-//!    process-wide table.
+//!    process-wide table, and of the forest's on the seed-2012
+//!    `pipeline_mix` tables, taken before each fit grew its tree on one
+//!    in-place partitioned arena.
 
 use openbi::experiment::{run_phase1_report, Criterion, ExperimentConfig, ExperimentDataset};
 use openbi::kb::SnapshotKnowledgeBase;
 use openbi::mining::eval::crossval::{cross_validate_with, holdout_split, CrossValOptions};
+use openbi::mining::instances::AttrKind;
 use openbi::mining::{AlgorithmSpec, Instances};
 use openbi_datagen::{
     all_scenarios, make_blobs, make_rule_based, reference_datasets, BlobsConfig, RuleConfig,
@@ -43,7 +48,7 @@ use openbi_datagen::{
 use openbi_integration::reference::mining as reference;
 use openbi_integration::{null_nonfinite, pipeline_mix_scenarios};
 use openbi_quality::{Degradation, MissingInjector};
-use openbi_table::{Column, Table};
+use openbi_table::{Column, Rng, Table};
 
 const SEEDS: [u64; 4] = [7, 21, 42, 1042];
 const WORKERS: [usize; 2] = [1, 4];
@@ -312,17 +317,26 @@ fn bits(v: f64) -> String {
 /// number: per-fold and pooled accuracy, model size and confusion.
 fn assert_cv_identical(corpus: &Corpus, spec: &AlgorithmSpec, seed: u64, parallel: bool) {
     let (live, frozen) = corpus.instances();
-    let old = reference::cross_validate(&frozen, spec, 3, seed).unwrap();
+    assert_encodings_cv_identical(&corpus.name, &live, &frozen, spec, seed, parallel);
+}
+
+/// [`assert_cv_identical`] on a live and a frozen encoding of one dataset.
+fn assert_encodings_cv_identical(
+    name: &str,
+    live: &Instances,
+    frozen: &reference::Instances,
+    spec: &AlgorithmSpec,
+    seed: u64,
+    parallel: bool,
+) {
+    let old = reference::cross_validate(frozen, spec, 3, seed).unwrap();
     let opts = if parallel {
         CrossValOptions::parallel()
     } else {
         CrossValOptions::default()
     };
-    let new = cross_validate_with(&live, spec, 3, seed, &opts).unwrap();
-    let ctx = format!(
-        "seed {seed}, dataset {}, {spec}, parallel={parallel}",
-        corpus.name
-    );
+    let new = cross_validate_with(live, spec, 3, seed, &opts).unwrap();
+    let ctx = format!("seed {seed}, dataset {name}, {spec}, parallel={parallel}");
     assert_eq!(new.algorithm, old.algorithm, "{ctx}: algorithm label");
     assert_eq!(
         new.fold_accuracies
@@ -376,6 +390,50 @@ fn standard_suite_cv_is_bitwise_identical_to_reference() {
         for corpus in corpora(seed) {
             for spec in AlgorithmSpec::standard_suite() {
                 assert_cv_identical(&corpus, &spec, seed, false);
+            }
+        }
+    }
+}
+
+/// A nominal code outside its attribute's dictionary, which
+/// `Instances::from_rows` and `set` can store but `from_table` never
+/// produces, trains and predicts as in the reference: a split on that
+/// attribute sends the row to no child, and prediction falls back to the
+/// split's default.
+#[test]
+fn out_of_dictionary_codes_are_bitwise_identical_to_reference() {
+    for seed in SEEDS {
+        for corpus in corpora(seed) {
+            let (_, mut frozen) = corpus.instances();
+            let nominal: Vec<(usize, usize)> = frozen
+                .attributes
+                .iter()
+                .enumerate()
+                .filter_map(|(a, attr)| match &attr.kind {
+                    AttrKind::Nominal(dict) => Some((a, dict.len())),
+                    AttrKind::Numeric => None,
+                })
+                .collect();
+            if nominal.is_empty() {
+                continue;
+            }
+            let mut rng = Rng::seed_from_u64(seed);
+            for row in &mut frozen.rows {
+                for &(a, len) in &nominal {
+                    if row[a].is_some() && rng.below(6) == 0 {
+                        row[a] = Some((len + rng.below(3)) as f64);
+                    }
+                }
+            }
+            let live = Instances::from_rows(
+                frozen.attributes.clone(),
+                frozen.rows.clone(),
+                frozen.labels.clone(),
+                frozen.class_names.clone(),
+            );
+            let name = format!("{}-out-of-dictionary", corpus.name);
+            for spec in algorithms().iter().chain(&AlgorithmSpec::standard_suite()) {
+                assert_encodings_cv_identical(&name, &live, &frozen, spec, seed, false);
             }
         }
     }
@@ -460,9 +518,10 @@ fn cv_words(data: &Instances, spec: &AlgorithmSpec, seed: u64) -> Vec<u64> {
 }
 
 /// Digests of 5-fold CV (parallel folds) of the `standard_suite` tree and
-/// forest on the three 200-row `kb_build` datasets of each seed, and of
-/// the tree on the 24 `pipeline_mix_scenarios` tables of each seed.
-const BENCHMARK_TREE_DIGESTS: [(&str, u64); 14] = [
+/// forest on the three 200-row `kb_build` datasets of each seed, of the
+/// tree on the 24 `pipeline_mix_scenarios` tables of each seed, and of the
+/// forest on those of seed 2012.
+const BENCHMARK_TREE_DIGESTS: [(&str, u64); 15] = [
     ("2012/blobs-easy/DecisionTree", 0x3279ebf58972373a),
     ("2012/blobs-easy/RandomForest", 0xf8a3f6712c3edf87),
     ("2012/blobs-hard/DecisionTree", 0x7a42455ae6cebf8d),
@@ -477,6 +536,7 @@ const BENCHMARK_TREE_DIGESTS: [(&str, u64); 14] = [
     ("9001/rules/RandomForest", 0x44e23e7d4f517365),
     ("2012/pipeline_mix/DecisionTree", 0xdf1a922017a09dce),
     ("7/pipeline_mix/DecisionTree", 0x8cdff7f8255ecaa5),
+    ("2012/pipeline_mix/RandomForest", 0x8c5979b5ebc982ed),
 ];
 
 /// The tree and the forest keep their exact CV results on the
@@ -501,16 +561,18 @@ fn benchmark_tree_cv_matches_pinned_digests() {
             }
         }
     }
-    let tree = trees[0];
-    for seed in [2012u64, 7] {
+    // The scenario tables hold nominal attributes, codes outside their
+    // dictionaries and missing split cells.
+    let (tree, forest) = (trees[0], trees[1]);
+    for (seed, spec) in [(2012u64, tree), (7, tree), (2012, forest)] {
         let mut words = Vec::new();
         for s in pipeline_mix_scenarios(seed) {
             let exclude: Vec<&str> = s.id_columns.iter().map(String::as_str).collect();
             let data = Instances::from_table(&s.table, Some(&s.target), &exclude).unwrap();
-            words.extend(cv_words(&data, tree, seed));
+            words.extend(cv_words(&data, spec, seed));
         }
         computed.push((
-            format!("{seed}/pipeline_mix/{}", tree.name()),
+            format!("{seed}/pipeline_mix/{}", spec.name()),
             fnv64_words(&words),
         ));
     }
