@@ -11,6 +11,8 @@ use crate::classify::AlgorithmSpec;
 use crate::error::{MiningError, Result};
 use crate::instances::{Instances, InstancesView};
 use openbi_table::Rng;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Aggregate result of evaluating one algorithm on one dataset.
@@ -115,9 +117,13 @@ pub fn stratified_folds_view(
 /// Options controlling how [`cross_validate_with`] executes.
 #[derive(Debug, Clone, Default)]
 pub struct CrossValOptions {
-    /// Evaluate folds on parallel threads. Fold assignment and the
-    /// pooled result are identical either way; only wall-clock time
-    /// changes. Leave off inside already-parallel experiment grids.
+    /// Evaluate folds on the calling thread plus up to one scoped helper
+    /// per further available core, each claiming the next fold from one
+    /// shared cursor; outcomes merge in fold order, so fold assignment
+    /// and the pooled result are identical either way and only
+    /// wall-clock time changes. A fold that panics fails the run with
+    /// [`MiningError::Execution`]. Leave off inside already-parallel
+    /// experiment grids.
     pub parallel_folds: bool,
 }
 
@@ -187,6 +193,51 @@ fn run_fold(
     })
 }
 
+/// Run `fold(f, train_buf)` for every fold index `f` on the calling
+/// thread plus `min(folds, available_parallelism) − 1` scoped helpers,
+/// each claiming the next index from one shared cursor and keeping its
+/// own training-row buffer of capacity `n_labeled`. Results come back
+/// in fold order. A panic in a fold is caught on the thread that runs
+/// it and becomes that fold's [`MiningError::Execution`].
+fn run_folds_parallel<T: Send>(
+    folds: usize,
+    n_labeled: usize,
+    fold: impl Fn(usize, &mut Vec<usize>) -> Result<T> + Sync,
+) -> Vec<Result<T>> {
+    let cursor = AtomicUsize::new(0);
+    let claim = || {
+        let mut train_buf = Vec::with_capacity(n_labeled);
+        let mut done = Vec::new();
+        loop {
+            let f = cursor.fetch_add(1, Ordering::Relaxed);
+            if f >= folds {
+                return done;
+            }
+            let outcome = catch_unwind(AssertUnwindSafe(|| fold(f, &mut train_buf)))
+                .unwrap_or_else(|_| {
+                    Err(MiningError::Execution(format!(
+                        "cross-validation fold {f} panicked"
+                    )))
+                });
+            done.push((f, outcome));
+        }
+    };
+    let helpers = std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .min(folds)
+        .saturating_sub(1);
+    let mut done = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..helpers).map(|_| scope.spawn(claim)).collect();
+        let mut done = claim();
+        for h in handles {
+            done.extend(h.join().expect("a fold panic is caught where it runs"));
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(f, _)| f);
+    done.into_iter().map(|(_, outcome)| outcome).collect()
+}
+
 /// Run stratified k-fold cross-validation of an algorithm spec.
 pub fn cross_validate(
     data: &Instances,
@@ -198,9 +249,9 @@ pub fn cross_validate(
 }
 
 /// [`cross_validate`] with explicit execution options. With
-/// `parallel_folds` each fold trains and predicts on its own thread;
-/// outcomes are merged in fold-index order, so the result is equal to
-/// the sequential run (timings excepted).
+/// `parallel_folds` the folds are shared among the calling thread and
+/// its helpers; outcomes are merged in fold-index order, so the result
+/// is equal to the sequential run (timings excepted).
 pub fn cross_validate_with(
     data: &Instances,
     spec: &AlgorithmSpec,
@@ -223,33 +274,16 @@ pub fn cross_validate_view(
 ) -> Result<EvalResult> {
     let fold_rows = stratified_folds_view(data, folds, seed)?;
     let n_labeled: usize = fold_rows.iter().map(Vec::len).sum();
+    let run = |f: usize, train_buf: &mut Vec<usize>| run_fold(data, spec, &fold_rows, f, train_buf);
     let outcomes: Vec<FoldOutcome> = if opts.parallel_folds && folds > 1 {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..folds)
-                .map(|f| {
-                    let fold_rows = &fold_rows;
-                    scope.spawn(move || {
-                        let mut train_buf = Vec::with_capacity(n_labeled);
-                        run_fold(data, spec, fold_rows, f, &mut train_buf)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|_| {
-                        Err(MiningError::Execution(
-                            "cross-validation fold thread panicked".into(),
-                        ))
-                    })
-                })
-                .collect::<Result<Vec<FoldOutcome>>>()
-        })?
+        run_folds_parallel(folds, n_labeled, run)
+            .into_iter()
+            .collect::<Result<Vec<FoldOutcome>>>()?
     } else {
         let mut train_buf = Vec::with_capacity(n_labeled);
         let mut out = Vec::with_capacity(folds);
         for f in 0..folds {
-            out.push(run_fold(data, spec, &fold_rows, f, &mut train_buf)?);
+            out.push(run(f, &mut train_buf)?);
         }
         out
     };
@@ -388,6 +422,24 @@ mod tests {
             assert_eq!(seq.confusion, par.confusion);
             assert_eq!(seq.fold_accuracies, par.fold_accuracies);
             assert_eq!(seq.model_size, par.model_size);
+        }
+    }
+
+    #[test]
+    fn a_panicking_fold_is_its_own_execution_error() {
+        let out = run_folds_parallel(5, 0, |f, _| {
+            assert_ne!(f, 2, "fold 2 fails");
+            Ok(f)
+        });
+        assert_eq!(out.len(), 5);
+        for (f, outcome) in out.into_iter().enumerate() {
+            match outcome {
+                Err(MiningError::Execution(msg)) => {
+                    assert_eq!(f, 2);
+                    assert!(msg.contains("fold 2 panicked"), "{msg}");
+                }
+                other => assert_eq!(other.ok(), Some(f)),
+            }
         }
     }
 

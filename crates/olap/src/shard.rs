@@ -1,16 +1,23 @@
 //! The sharded, parallel cube build engine (DESIGN.md §14).
 //!
 //! The fact table is partitioned into **contiguous row shards**
-//! ([`ShardPlan::contiguous`]); each shard runs a single-pass columnar
-//! aggregation kernel producing a map of group key → [`CellState`] with
-//! groups in first-seen order *within the shard*; shard maps are then
-//! merged **in shard order**. Why that is bitwise-identical to the
-//! frozen single-threaded [`crate::reference`] at any shard count:
+//! ([`ShardPlan::contiguous`]). Each shard first gives every row a dense
+//! group slot — the first-seen rank, within the shard, of the row's
+//! dimension-code tuple, built one dimension at a time by ranking the
+//! (previous slot, code) pair packed into one `u64` (with no dimensions
+//! every row is slot 0 and nothing is looked up) — and then folds each
+//! row's measures into its slot's [`CellState`]. A group's key is read
+//! off its first row. Shard results are then merged **in shard order**.
+//! Why that is bitwise-identical to the frozen single-threaded
+//! [`crate::reference`] at any shard count:
 //!
-//! * **Group order** — shards are contiguous and ordered, and the merge
-//!   walks them in shard order with first-seen-wins insertion, so a
-//!   group's first appearance in the merged output equals its first
-//!   appearance in global row order: exactly `group_by`'s ordering.
+//! * **Group order** — within a shard, slot order is first-seen row
+//!   order; shards are contiguous and ordered, and the merge walks them
+//!   in shard order with first-seen-wins insertion, so a group's first
+//!   appearance in the merged output equals its first appearance in
+//!   global row order: exactly `group_by`'s ordering. A failed shard's
+//!   rows are simply absent, so a partial cube orders its groups as the
+//!   reference does over the surviving rows.
 //! * **Sum / Mean** — [`ExactSum`](openbi_table::ExactSum) partial sums
 //!   merge without rounding, so the single final rounding sees the same
 //!   exact total regardless of partitioning; mean divides once, at
@@ -36,8 +43,10 @@
 use crate::accumulator::{CellQuality, CellState};
 use crate::cube::Measure;
 use openbi_faults::FaultPlan;
-use openbi_table::{Categories, Column, ColumnData, DataType, Result, Table, Value};
+use openbi_table::{Categories, Column, ColumnData, DataType, Result, Table, TableError, Value};
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -210,7 +219,98 @@ enum ShardOutcome {
     Failed,
 }
 
-/// Single-pass columnar aggregation of rows `[start, end)`.
+/// Hasher for the one `u64` a ranking key packs: one multiplication by
+/// an odd factor, with the high half folded into the low bits the map
+/// picks its bucket from.
+struct PairHasher {
+    mul: u64,
+    hash: u64,
+}
+
+impl Hasher for PairHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.hash ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let h = x.wrapping_mul(self.mul);
+        self.hash = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+/// Builds [`PairHasher`]s around one odd multiplier drawn from std's
+/// random hash keys: which pairs occur is up to the fact data, so a
+/// fixed multiplier would let crafted data make them collide.
+struct PairHashing(u64);
+
+impl Default for PairHashing {
+    fn default() -> Self {
+        PairHashing(RandomState::new().hash_one(0u64) | 1)
+    }
+}
+
+impl BuildHasher for PairHashing {
+    type Hasher = PairHasher;
+
+    fn build_hasher(&self) -> PairHasher {
+        PairHasher {
+            mul: self.0,
+            hash: 0,
+        }
+    }
+}
+
+/// First-seen ranks of packed (previous slot, code) pairs.
+type PairRanks = HashMap<u64, u32, PairHashing>;
+
+/// Replace `slot` with the rank of its (slot, `code`) pair, giving an
+/// unseen pair the next rank; true when the pair is new.
+fn rank_pair(ranks: &mut PairRanks, slot: &mut u32, code: u32) -> bool {
+    let next = u32::try_from(ranks.len()).expect("fewer than 2^32 groups per shard");
+    *slot = *ranks
+        .entry((u64::from(*slot) << 32) | u64::from(code))
+        .or_insert(next);
+    *slot == next
+}
+
+/// Every row of `[start, end)` with its group slot: the first-seen rank
+/// of its dimension-code tuple within the range, so slot order is
+/// first-seen order. The slots are built one dimension at a time by
+/// ranking the (previous slot, code) pair, which is unique to the
+/// tuple prefix. Returns the slots (`None` without dimensions: every
+/// row is slot 0) and each slot's first row; working memory is
+/// O(rows + groups) at any dimension cardinality.
+fn rank_groups(start: usize, end: usize, dims: &[DimIndex]) -> (Option<Vec<u32>>, Vec<usize>) {
+    let Some((last, prefix)) = dims.split_last() else {
+        return (None, (start..end).take(1).collect());
+    };
+    let mut slots = vec![0u32; end - start];
+    let mut ranks = PairRanks::default();
+    for d in prefix {
+        ranks.clear();
+        for (slot, &code) in slots.iter_mut().zip(&d.ids[start..end]) {
+            rank_pair(&mut ranks, slot, code);
+        }
+    }
+    ranks.clear();
+    let mut first_rows = Vec::new();
+    for ((row, slot), &code) in (start..).zip(slots.iter_mut()).zip(&last.ids[start..end]) {
+        if rank_pair(&mut ranks, slot, code) {
+            first_rows.push(row);
+        }
+    }
+    (Some(slots), first_rows)
+}
+
+/// Single-pass columnar aggregation of rows `[start, end)`: rank the
+/// rows into group slots, then fold each row's measures into its
+/// slot's state.
 fn aggregate_range(
     start: usize,
     end: usize,
@@ -219,27 +319,13 @@ fn aggregate_range(
     measure_view_of: &[usize],
     measures: &[Measure],
 ) -> ShardAgg {
-    let mut keys: Vec<Vec<u32>> = Vec::new();
-    let mut states: Vec<CellState> = Vec::new();
-    let mut index: HashMap<Vec<u32>, usize> = HashMap::new();
-    let mut scratch: Vec<u32> = Vec::with_capacity(dims.len());
+    let (slots, first_rows) = rank_groups(start, end, dims);
+    let mut states: Vec<CellState> = first_rows
+        .iter()
+        .map(|_| CellState::new(measures))
+        .collect();
     let mut cells: Vec<(bool, Option<f64>)> = vec![(true, None); quality_views.len()];
-    for row in start..end {
-        scratch.clear();
-        for d in dims {
-            scratch.push(d.ids[row]);
-        }
-        let slot = match index.get(scratch.as_slice()) {
-            Some(&i) => i,
-            None => {
-                let i = states.len();
-                keys.push(scratch.clone());
-                index.insert(scratch.clone(), i);
-                states.push(CellState::new(measures));
-                i
-            }
-        };
-        let state = &mut states[slot];
+    let mut fold = |state: &mut CellState, row: usize| {
         state.support += 1;
         for (c, view) in cells.iter_mut().zip(quality_views) {
             *c = view.cell(row);
@@ -251,7 +337,25 @@ fn aggregate_range(
             let (is_null, num) = cells[vi];
             acc.update(is_null, num);
         }
+    };
+    match slots {
+        Some(slots) => {
+            for (row, &slot) in (start..end).zip(&slots) {
+                fold(&mut states[slot as usize], row);
+            }
+        }
+        None => {
+            if let Some(total) = states.first_mut() {
+                for row in start..end {
+                    fold(total, row);
+                }
+            }
+        }
     }
+    let keys = first_rows
+        .iter()
+        .map(|&row| dims.iter().map(|d| d.ids[row]).collect())
+        .collect();
     ShardAgg { keys, states }
 }
 
@@ -285,6 +389,15 @@ pub fn build_cube(
             }
         };
         measure_view_of.push(vi);
+    }
+    // The output's column names must be distinct: refuse a repeated
+    // dimension (or measure) before scanning, with the error `Table::new`
+    // would give after it.
+    let mut names: Vec<String> = dims.iter().map(|d| d.to_string()).collect();
+    names.extend(measures.iter().map(Measure::output_name));
+    names.sort_unstable();
+    if let Some(pair) = names.windows(2).find(|pair| pair[0] == pair[1]) {
+        return Err(TableError::DuplicateColumn(pair[0].clone()));
     }
     // Encode the dimension columns up front (in parallel — one column
     // per thread). Encoding is a pure per-column function of the data,
@@ -565,5 +678,19 @@ mod tests {
             &CubeOptions::default()
         )
         .is_err());
+        // A repeated output column is refused up front with the error the
+        // reference gives once it has aggregated every row.
+        for (dims, measures) in [
+            (vec!["d", "d"], measures()),
+            (vec!["d"], vec![Measure::Sum("v".into()); 2]),
+        ] {
+            let want = crate::reference::Cube::new(facts(), &dims, measures.clone())
+                .and_then(|c| c.rollup(&dims))
+                .unwrap_err();
+            let got = build_cube(&facts(), &dims, &measures, &CubeOptions::default()).unwrap_err();
+            assert_eq!(got.to_string(), want.to_string());
+        }
+        let got = build_cube(&facts(), &["d", "d"], &measures(), &CubeOptions::default());
+        assert_eq!(got.unwrap_err().to_string(), "duplicate column: d");
     }
 }

@@ -18,7 +18,8 @@ use openbi::experiment::{run_phase1_report, Criterion, ExperimentConfig, Experim
 use openbi::kb::SnapshotKnowledgeBase;
 use openbi::mining::AlgorithmSpec;
 use openbi::olap::{
-    quality_table_report, Cube, CubeOptions, Measure, QualityThresholds, CUBE_BUILD_FAULT_POINT,
+    quality_table_report, reference, Cube, CubeOptions, CubeResult, Measure, QualityThresholds,
+    ShardPlan, CUBE_BUILD_FAULT_POINT,
 };
 use openbi::pipeline::{run_pipeline, DataSource, PipelineConfig};
 use openbi_datagen::{make_blobs, BlobsConfig};
@@ -407,6 +408,45 @@ fn retried_shard_faults_leave_the_cube_byte_identical() {
     }
 }
 
+/// A partial cube is the reference cube over exactly the surviving
+/// shards' rows: the same groups in the same first-seen order (a group
+/// first seen in a failed shard takes the place of its first surviving
+/// row), the same aggregate bits, and supports that sum to the
+/// surviving row count.
+fn assert_partial_cube_covers_the_survivors(
+    cube: &Cube,
+    dims: &[&str],
+    partial: &CubeResult,
+    context: &str,
+) {
+    let facts = cube.facts();
+    let surviving: Vec<usize> = ShardPlan::contiguous(facts.n_rows(), partial.total_shards)
+        .bounds
+        .iter()
+        .enumerate()
+        .filter(|(shard, _)| !partial.failed_shards.contains(shard))
+        .flat_map(|(_, &(start, end))| start..end)
+        .collect();
+    let survivors = reference::Cube::new(
+        facts.take(&surviving).unwrap(),
+        dims,
+        cube.measures().to_vec(),
+    )
+    .unwrap();
+    assert_eq!(
+        survivors.rollup(dims).unwrap().fingerprint(),
+        partial.table.fingerprint(),
+        "{context}: failed shards {:?}: the partial cube must equal the reference over the surviving rows",
+        partial.failed_shards
+    );
+    let support: u64 = partial.quality.iter().map(|q| q.support).sum();
+    assert_eq!(
+        support,
+        surviving.len() as u64,
+        "{context}: supports must sum to the surviving row count"
+    );
+}
+
 /// When a shard's retries are exhausted the build must degrade, not
 /// abort: `rollup_quality` still returns `Ok`, the failed shards are
 /// named, the surviving totals are visibly partial (lower support than
@@ -451,6 +491,35 @@ fn exhausted_shard_retries_flag_a_partial_cube_instead_of_aborting() {
         partial_support < clean_support,
         "partial cube must cover fewer fact rows ({partial_support} vs {clean_support})"
     );
+    assert_partial_cube_covers_the_survivors(&cube, &dims, &degraded, "plan seed 11");
+    // Other plan seeds fail other shard sets, the first shard included.
+    let mut failed_first_shard = false;
+    for seed in chaos_seeds() {
+        let cube = budget_cube(seed);
+        for plan_seed in 11..=13 {
+            let plan = Arc::new(
+                FaultPlan::new(plan_seed).with(
+                    FaultRule::error(CUBE_BUILD_FAULT_POINT)
+                        .ratio(0.5)
+                        .times(u32::MAX),
+                ),
+            );
+            let options = CubeOptions {
+                fault_plan: Some(plan),
+                ..options.clone()
+            };
+            let partial = cube.rollup_quality(&dims, &options).unwrap();
+            assert!(partial.is_degraded(), "plan seed {plan_seed} fails a shard");
+            failed_first_shard |= partial.failed_shards.contains(&0);
+            assert_partial_cube_covers_the_survivors(
+                &cube,
+                &dims,
+                &partial,
+                &format!("data seed {seed}, plan seed {plan_seed}"),
+            );
+        }
+    }
+    assert!(failed_first_shard, "some plan seed must fail shard 0");
 
     let report = quality_table_report(
         "degraded budget rollup",

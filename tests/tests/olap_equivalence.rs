@@ -23,8 +23,9 @@
 //! hold the implementation to that argument.
 
 use openbi_datagen::scenario::all_scenarios;
-use openbi_olap::{reference, Cube, CubeOptions, Measure};
-use openbi_table::{Column, Table};
+use openbi_olap::{reference, CellQuality, Cube, CubeOptions, CubeResult, Measure};
+use openbi_table::{Column, Table, Value};
+use std::collections::HashMap;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
 const SEEDS: [u64; 3] = [7, 21, 1042];
@@ -40,30 +41,107 @@ fn all_measures(column: &str) -> Vec<Measure> {
     ]
 }
 
+/// Every group's `CellQuality` recounted from the fact rows: its
+/// support is the number of rows with its key tuple (a null key renders
+/// as `""`, so it groups with a literal empty string), and its null
+/// ratio the share of null cells among those rows' distinct measure
+/// source columns. Groups are matched by their rendered key strings.
+struct QualityRecount {
+    tallies: HashMap<Vec<String>, (u64, u64)>,
+    sources: usize,
+}
+
+impl QualityRecount {
+    fn new(facts: &Table, dims: &[&str], measures: &[Measure]) -> QualityRecount {
+        let mut sources: Vec<&Column> = Vec::new();
+        for m in measures {
+            let col = facts.column(m.column()).unwrap();
+            if !sources.iter().any(|c| c.name() == col.name()) {
+                sources.push(col);
+            }
+        }
+        let keys: Vec<&Column> = dims.iter().map(|d| facts.column(d).unwrap()).collect();
+        let mut tallies: HashMap<Vec<String>, (u64, u64)> = HashMap::new();
+        for r in 0..facts.n_rows() {
+            let key = keys.iter().map(|c| c.get(r).unwrap().to_string()).collect();
+            let tally = tallies.entry(key).or_default();
+            tally.0 += 1;
+            tally.1 += sources
+                .iter()
+                .filter(|c| c.get(r).unwrap().is_null())
+                .count() as u64;
+        }
+        QualityRecount {
+            tallies,
+            sources: sources.len(),
+        }
+    }
+
+    fn check(&self, dims: &[&str], got: &CubeResult, context: &str) {
+        assert_eq!(
+            got.quality.len(),
+            got.table.n_rows(),
+            "{context}: one quality annotation per output row"
+        );
+        assert_eq!(
+            self.tallies.len(),
+            got.table.n_rows(),
+            "{context}: one output row per key tuple"
+        );
+        for (row, quality) in got.quality.iter().enumerate() {
+            let key: Vec<String> = dims
+                .iter()
+                .map(|d| got.table.get(d, row).unwrap().to_string())
+                .collect();
+            let (support, nulls) = self.tallies[&key];
+            let cells = support * self.sources as u64;
+            let want = CellQuality {
+                support,
+                null_ratio: if cells == 0 {
+                    0.0
+                } else {
+                    nulls as f64 / cells as f64
+                },
+            };
+            assert_eq!(*quality, want, "{context}: quality of group {key:?}");
+        }
+    }
+}
+
 /// Assert the sharded engine matches the frozen reference bitwise for
-/// one cube spec, at every rollup depth and shard count.
+/// one cube spec, at every rollup depth and shard count, grand total
+/// included, and that every cell's quality annotation recounts from the
+/// fact rows.
 fn assert_equivalent(facts: Table, dims: &[&str], measures: Vec<Measure>, context: &str) {
     let live = Cube::new(facts.clone(), dims, measures.clone()).expect("live cube");
-    let frozen = reference::Cube::new(facts, dims, measures).expect("reference cube");
-    for depth in 1..=dims.len() {
+    let frozen =
+        reference::Cube::new(facts.clone(), dims, measures.clone()).expect("reference cube");
+    for depth in 0..=dims.len() {
         let sub = &dims[..depth];
-        let want = frozen.rollup(sub).expect("reference rollup");
+        let want = match depth {
+            0 => frozen.total().expect("reference total"),
+            _ => frozen.rollup(sub).expect("reference rollup"),
+        };
+        let recount = QualityRecount::new(&facts, sub, &measures);
         for shards in SHARD_COUNTS {
-            let got = live
-                .rollup_quality(sub, &CubeOptions::with_shards(shards))
-                .expect("sharded rollup");
+            let options = CubeOptions::with_shards(shards);
+            let got = match depth {
+                0 => live.total_quality(&options).expect("sharded total"),
+                _ => live.rollup_quality(sub, &options).expect("sharded rollup"),
+            };
             assert_eq!(
                 want.fingerprint(),
                 got.table.fingerprint(),
                 "{context}: dims {sub:?} diverged at {shards} shard(s)"
             );
-            assert_eq!(
-                got.quality.len(),
-                got.table.n_rows(),
-                "{context}: one quality annotation per output row"
+            recount.check(
+                sub,
+                &got,
+                &format!("{context}: dims {sub:?}, {shards} shard(s)"),
             );
         }
     }
+    // The default shard count follows the host's cores.
     let want = frozen.total().expect("reference total");
     let got = live.total().expect("sharded total");
     assert_eq!(
@@ -144,6 +222,77 @@ fn all_nan_group_reproduces_reference_fold_identities() {
     ])
     .unwrap();
     assert_equivalent(facts, &["g"], all_measures("x"), "all-NaN group");
+}
+
+/// `+∞` and `−∞` measure cells are values next to NaN, as the reference
+/// folds them: a group holding both signs sums (and averages) to NaN, a
+/// single-sign group to that infinity, min/max pick the infinities up
+/// like any value, and neither counts as null in the quality ratio.
+#[test]
+fn infinite_cells_are_values_next_to_nan() {
+    let inf = f64::INFINITY;
+    let facts = Table::new(vec![
+        Column::from_str_values(
+            "g",
+            [
+                "both", "pos", "neg", "both", "nan", "pos", "neg", "both", "nan", "neg",
+            ],
+        ),
+        Column::from_opt_f64(
+            "x",
+            [
+                Some(inf),
+                Some(inf),
+                Some(-inf),
+                Some(1.0),
+                Some(f64::NAN),
+                Some(3.0),
+                None,
+                Some(-inf),
+                Some(-inf),
+                Some(-2.0),
+            ],
+        ),
+    ])
+    .unwrap();
+    assert_equivalent(facts.clone(), &["g"], all_measures("x"), "±∞ next to NaN");
+
+    let got = Cube::new(facts, &["g"], all_measures("x"))
+        .unwrap()
+        .rollup(&["g"])
+        .unwrap();
+    let cell = |name: &str, row: usize| got.get(name, row).unwrap().as_f64().unwrap();
+    // Rows: both, pos, neg, nan.
+    assert!(cell("sum(x)", 0).is_nan() && cell("mean(x)", 0).is_nan());
+    assert_eq!((cell("min(x)", 0), cell("max(x)", 0)), (-inf, inf));
+    assert_eq!((cell("sum(x)", 1), cell("mean(x)", 1)), (inf, inf));
+    assert_eq!((cell("min(x)", 1), cell("max(x)", 1)), (3.0, inf));
+    assert_eq!((cell("sum(x)", 2), cell("mean(x)", 2)), (-inf, -inf));
+    assert_eq!((cell("min(x)", 2), cell("max(x)", 2)), (-inf, -2.0));
+    assert!(cell("sum(x)", 3).is_nan());
+    assert_eq!((cell("min(x)", 3), cell("max(x)", 3)), (-inf, -inf));
+    assert_eq!(got.get("count(x)", 2).unwrap(), Value::Int(2));
+}
+
+/// Two near-unique dimensions: every row its own group, so the group
+/// count grows with the rows at every rollup depth — the regime where
+/// ranking groups by a dense (slot × code) table would need rows² slots.
+#[test]
+fn near_unique_dimension_pairs_rank_every_row() {
+    let n = 701; // prime, so 2/4/7 shards all cut unevenly
+    let facts = Table::new(vec![
+        Column::from_str_values("a", (0..n).map(|i| format!("a{}", i % 700))),
+        Column::from_str_values("b", (0..n).map(|i| format!("b{}", (i * 389) % n))),
+        Column::from_f64("x", (0..n).map(|i| i as f64 * 0.5 - 100.0)),
+    ])
+    .unwrap();
+    let groups = Cube::new(facts.clone(), &["a", "b"], all_measures("x"))
+        .unwrap()
+        .rollup(&["a", "b"])
+        .unwrap()
+        .n_rows();
+    assert_eq!(groups, n);
+    assert_equivalent(facts, &["a", "b"], all_measures("x"), "near-unique pairs");
 }
 
 /// Single-row groups: a key column with all-distinct values means more
