@@ -60,7 +60,7 @@ use openbi_quality::inject::{
     OutlierInjector,
 };
 use openbi_quality::{measure_profile_cached, MeasureOptions};
-use openbi_table::Table;
+use openbi_table::{par, Table};
 
 use openbi_faults::FaultPlan;
 use openbi_obs as obs;
@@ -296,9 +296,7 @@ impl ExperimentConfig {
         } else if self.workers > 0 {
             self.workers
         } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
+            par::cores()
         }
     }
 }

@@ -10,9 +10,8 @@ use super::metrics::ConfusionMatrix;
 use crate::classify::AlgorithmSpec;
 use crate::error::{MiningError, Result};
 use crate::instances::{Instances, InstancesView};
-use openbi_table::Rng;
+use openbi_table::{par, Rng};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Aggregate result of evaluating one algorithm on one dataset.
@@ -117,11 +116,11 @@ pub fn stratified_folds_view(
 /// Options controlling how [`cross_validate_with`] executes.
 #[derive(Debug, Clone, Default)]
 pub struct CrossValOptions {
-    /// Evaluate folds on the calling thread plus up to one scoped helper
-    /// per further available core, each claiming the next fold from one
-    /// shared cursor; outcomes merge in fold order, so fold assignment
-    /// and the pooled result are identical either way and only
-    /// wall-clock time changes. A fold that panics fails the run with
+    /// Evaluate the folds through [`par::map`] (the calling thread plus
+    /// one scoped helper per further core, each taking the next fold);
+    /// outcomes merge in fold order, so fold assignment and the pooled
+    /// result are identical either way and only wall-clock time
+    /// changes. A fold that panics fails the run with
     /// [`MiningError::Execution`]. Leave off inside already-parallel
     /// experiment grids.
     pub parallel_folds: bool,
@@ -193,49 +192,14 @@ fn run_fold(
     })
 }
 
-/// Run `fold(f, train_buf)` for every fold index `f` on the calling
-/// thread plus `min(folds, available_parallelism) − 1` scoped helpers,
-/// each claiming the next index from one shared cursor and keeping its
-/// own training-row buffer of capacity `n_labeled`. Results come back
-/// in fold order. A panic in a fold is caught on the thread that runs
-/// it and becomes that fold's [`MiningError::Execution`].
-fn run_folds_parallel<T: Send>(
-    folds: usize,
-    n_labeled: usize,
-    fold: impl Fn(usize, &mut Vec<usize>) -> Result<T> + Sync,
-) -> Vec<Result<T>> {
-    let cursor = AtomicUsize::new(0);
-    let claim = || {
-        let mut train_buf = Vec::with_capacity(n_labeled);
-        let mut done = Vec::new();
-        loop {
-            let f = cursor.fetch_add(1, Ordering::Relaxed);
-            if f >= folds {
-                return done;
-            }
-            let outcome = catch_unwind(AssertUnwindSafe(|| fold(f, &mut train_buf)))
-                .unwrap_or_else(|_| {
-                    Err(MiningError::Execution(format!(
-                        "cross-validation fold {f} panicked"
-                    )))
-                });
-            done.push((f, outcome));
-        }
-    };
-    let helpers = std::thread::available_parallelism()
-        .map_or(1, |n| n.get())
-        .min(folds)
-        .saturating_sub(1);
-    let mut done = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..helpers).map(|_| scope.spawn(claim)).collect();
-        let mut done = claim();
-        for h in handles {
-            done.extend(h.join().expect("a fold panic is caught where it runs"));
-        }
-        done
-    });
-    done.sort_unstable_by_key(|&(f, _)| f);
-    done.into_iter().map(|(_, outcome)| outcome).collect()
+/// `fold()`, with a panic turned into fold `f`'s
+/// [`MiningError::Execution`].
+fn catch_fold<T>(f: usize, fold: impl FnOnce() -> Result<T>) -> Result<T> {
+    catch_unwind(AssertUnwindSafe(fold)).unwrap_or_else(|_| {
+        Err(MiningError::Execution(format!(
+            "cross-validation fold {f} panicked"
+        )))
+    })
 }
 
 /// Run stratified k-fold cross-validation of an algorithm spec.
@@ -275,10 +239,12 @@ pub fn cross_validate_view(
     let fold_rows = stratified_folds_view(data, folds, seed)?;
     let n_labeled: usize = fold_rows.iter().map(Vec::len).sum();
     let run = |f: usize, train_buf: &mut Vec<usize>| run_fold(data, spec, &fold_rows, f, train_buf);
-    let outcomes: Vec<FoldOutcome> = if opts.parallel_folds && folds > 1 {
-        run_folds_parallel(folds, n_labeled, run)
-            .into_iter()
-            .collect::<Result<Vec<FoldOutcome>>>()?
+    let outcomes: Vec<FoldOutcome> = if opts.parallel_folds {
+        par::map((0..folds).collect(), |f| {
+            catch_fold(f, || run(f, &mut Vec::with_capacity(n_labeled)))
+        })
+        .into_iter()
+        .collect::<Result<Vec<FoldOutcome>>>()?
     } else {
         let mut train_buf = Vec::with_capacity(n_labeled);
         let mut out = Vec::with_capacity(folds);
@@ -427,9 +393,11 @@ mod tests {
 
     #[test]
     fn a_panicking_fold_is_its_own_execution_error() {
-        let out = run_folds_parallel(5, 0, |f, _| {
-            assert_ne!(f, 2, "fold 2 fails");
-            Ok(f)
+        let out = par::map((0..5).collect(), |f| {
+            catch_fold(f, || {
+                assert_ne!(f, 2, "fold 2 fails");
+                Ok(f)
+            })
         });
         assert_eq!(out.len(), 5);
         for (f, outcome) in out.into_iter().enumerate() {

@@ -12,11 +12,9 @@
 //! serves both). Classifiers must tolerate missing cells, since the
 //! quality experiments inject missingness on purpose.
 //!
-//! Per-column statistics (min/max/mean/mode/present-count) are computed
-//! once at construction and cached, so [`Instances::numeric_ranges`],
-//! [`Instances::numeric_means`] and [`Instances::modes`] are O(columns)
-//! lookups instead of full re-scans. Any mutation goes through
-//! [`Instances::set`], which recomputes the touched column's stats.
+//! Per-attribute statistics ([`InstancesView::numeric_ranges`],
+//! [`InstancesView::numeric_means`]) are computed over a view's rows in
+//! row order when a learner asks for them; nothing is cached.
 //!
 //! Cross-validation folds and attribute subsets are expressed as
 //! borrowed [`InstancesView`]s (row-index + column-mask) — zero row
@@ -54,19 +52,6 @@ pub struct Attribute {
     pub kind: AttrKind,
 }
 
-/// Cached per-column statistics, computed at construction time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ColumnStats {
-    /// Non-missing cells in the column.
-    pub present: usize,
-    /// `(min, max)` over present values — numeric columns only.
-    pub range: Option<(f64, f64)>,
-    /// Mean over present values — numeric columns only.
-    pub mean: Option<f64>,
-    /// Modal category index — nominal columns only.
-    pub mode: Option<f64>,
-}
-
 /// The value slot of a cell: a missing or non-finite cell is NaN.
 #[inline]
 fn slot(cell: Option<f64>) -> f64 {
@@ -77,90 +62,6 @@ fn slot(cell: Option<f64>) -> f64 {
 #[inline]
 fn cell(v: f64) -> Option<f64> {
     (!v.is_nan()).then_some(v)
-}
-
-/// One attribute's storage: contiguous values and cached stats.
-#[derive(Debug, Clone)]
-struct ColumnData {
-    /// Cell values; missing slots hold `f64::NAN`.
-    values: Vec<f64>,
-    stats: ColumnStats,
-}
-
-impl ColumnData {
-    fn from_options<I: IntoIterator<Item = Option<f64>>>(kind: &AttrKind, cells: I) -> Self {
-        Self::new(kind, cells.into_iter().map(slot).collect())
-    }
-
-    fn gather(&self, kind: &AttrKind, indices: &[usize]) -> Self {
-        Self::new(kind, indices.iter().map(|&i| self.values[i]).collect())
-    }
-
-    fn new(kind: &AttrKind, values: Vec<f64>) -> Self {
-        let stats = compute_stats(kind, &values, 0..values.len());
-        ColumnData { values, stats }
-    }
-}
-
-/// Column statistics over `rows` (ascending for a whole column, the
-/// selection's order for a masked [`InstancesView`]), with the exact
-/// accumulation order of the pre-rewrite per-call scans (running
-/// min/max/sum in `rows` order), so cached values are bit-identical to
-/// what `numeric_ranges()` / `numeric_means()` / `modes()` used to
-/// recompute, and a masked view reports what a materialized subset would.
-fn compute_stats(
-    kind: &AttrKind,
-    values: &[f64],
-    rows: impl IntoIterator<Item = usize>,
-) -> ColumnStats {
-    match kind {
-        AttrKind::Numeric => {
-            let mut lo = f64::INFINITY;
-            let mut hi = f64::NEG_INFINITY;
-            let mut sum = 0.0;
-            let mut present = 0usize;
-            for r in rows {
-                let v = values[r];
-                if !v.is_nan() {
-                    lo = lo.min(v);
-                    hi = hi.max(v);
-                    sum += v;
-                    present += 1;
-                }
-            }
-            ColumnStats {
-                present,
-                range: (present > 0).then_some((lo, hi)),
-                mean: (present > 0).then(|| sum / present as f64),
-                mode: None,
-            }
-        }
-        AttrKind::Nominal(dict) => {
-            let mut counts = vec![0usize; dict.len()];
-            let mut present = 0usize;
-            for r in rows {
-                let v = values[r];
-                if !v.is_nan() {
-                    present += 1;
-                    let idx = v as usize;
-                    if idx < counts.len() {
-                        counts[idx] += 1;
-                    }
-                }
-            }
-            let mode = counts
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, c)| **c)
-                .map(|(i, _)| i as f64);
-            ColumnStats {
-                present,
-                range: None,
-                mean: None,
-                mode,
-            }
-        }
-    }
 }
 
 /// A mining dataset in columnar struct-of-arrays layout (see module
@@ -174,7 +75,8 @@ pub struct Instances {
     pub labels: Vec<Option<usize>>,
     /// Class value dictionary (empty when the dataset has no target).
     pub class_names: Vec<String>,
-    columns: Vec<ColumnData>,
+    /// One value vector per attribute; missing slots hold `f64::NAN`.
+    columns: Vec<Vec<f64>>,
     n_rows: usize,
 }
 
@@ -189,12 +91,10 @@ impl PartialEq for Instances {
         {
             return false;
         }
-        self.columns.iter().zip(&other.columns).all(|(a, b)| {
-            a.values
-                .iter()
-                .map(|&v| cell(v))
-                .eq(b.values.iter().map(|&v| cell(v)))
-        })
+        self.columns
+            .iter()
+            .zip(&other.columns)
+            .all(|(a, b)| a.iter().map(|&v| cell(v)).eq(b.iter().map(|&v| cell(v))))
     }
 }
 
@@ -212,7 +112,7 @@ impl Instances {
             table.column(t)?;
         }
         let mut attributes = Vec::new();
-        let mut columns: Vec<ColumnData> = Vec::new();
+        let mut columns: Vec<Vec<f64>> = Vec::new();
         for col in table.columns() {
             if exclude.contains(&col.name()) || Some(col.name()) == target {
                 continue;
@@ -233,7 +133,7 @@ impl Instances {
                     (AttrKind::Nominal(cats.texts()), data)
                 }
             };
-            columns.push(ColumnData::from_options(&kind, data));
+            columns.push(data.into_iter().map(slot).collect());
             attributes.push(Attribute {
                 name: col.name().to_string(),
                 kind,
@@ -279,10 +179,8 @@ impl Instances {
                 "every row must have one cell per attribute"
             );
         }
-        let columns = attributes
-            .iter()
-            .enumerate()
-            .map(|(a, attr)| ColumnData::from_options(&attr.kind, rows.iter().map(|r| r[a])))
+        let columns = (0..attributes.len())
+            .map(|a| rows.iter().map(|r| slot(r[a])).collect())
             .collect();
         Instances {
             attributes,
@@ -332,35 +230,18 @@ impl Instances {
     /// Cell value (`None` = missing).
     #[inline]
     pub fn get(&self, row: usize, attr: usize) -> Option<f64> {
-        cell(self.columns[attr].values[row])
-    }
-
-    /// Overwrite one cell and recompute the column's cached stats. A
-    /// non-finite value is stored as missing.
-    pub fn set(&mut self, row: usize, attr: usize, value: Option<f64>) {
-        let col = &mut self.columns[attr];
-        col.values[row] = slot(value);
-        col.stats = compute_stats(
-            &self.attributes[attr].kind,
-            &col.values,
-            0..col.values.len(),
-        );
+        cell(self.columns[attr][row])
     }
 
     /// The contiguous value slice of one attribute (NaN at missing slots).
     pub fn column_values(&self, attr: usize) -> &[f64] {
-        &self.columns[attr].values
-    }
-
-    /// Cached statistics of one attribute.
-    pub fn column_stats(&self, attr: usize) -> &ColumnStats {
-        &self.columns[attr].stats
+        &self.columns[attr]
     }
 
     /// A borrowed column accessor (unmasked).
     pub fn col(&self, attr: usize) -> ColumnView<'_> {
         ColumnView {
-            values: &self.columns[attr].values,
+            values: &self.columns[attr],
             rows: None,
         }
     }
@@ -374,26 +255,6 @@ impl Instances {
             rows: None,
             cols: None,
         }
-    }
-
-    /// Per-attribute `(min, max)` over non-missing numeric values
-    /// (`None` for nominal or all-missing attributes). Served from the
-    /// cached column stats.
-    pub fn numeric_ranges(&self) -> Vec<Option<(f64, f64)>> {
-        self.columns.iter().map(|c| c.stats.range).collect()
-    }
-
-    /// Per-attribute mean over non-missing numeric values (`None` for
-    /// nominal attributes; nominal get their modal category instead via
-    /// [`Instances::modes`]). Served from the cached column stats.
-    pub fn numeric_means(&self) -> Vec<Option<f64>> {
-        self.columns.iter().map(|c| c.stats.mean).collect()
-    }
-
-    /// Per-attribute modal category index for nominal attributes.
-    /// Served from the cached column stats.
-    pub fn modes(&self) -> Vec<Option<f64>> {
-        self.columns.iter().map(|c| c.stats.mode).collect()
     }
 
     /// The majority class index over labeled rows (0 if unlabeled).
@@ -413,9 +274,8 @@ impl Instances {
 /// Views are cheap (two optional index slices); `select_rows` on a fold
 /// costs one index vector, never a row copy. Row indices in a view are
 /// *view-local*: `get(i, j)` addresses the `i`-th selected row and the
-/// `j`-th selected attribute. An unmasked view serves the dataset's
-/// cached column stats; a row-masked view recomputes stats over the
-/// selection in selection order, exactly matching what the
+/// `j`-th selected attribute. Statistics run over the selected rows in
+/// selection order, exactly matching what the
 /// [`materialize`](InstancesView::materialize)d selection would report.
 ///
 /// Aliasing: a view holds `&Instances`, so the borrow checker statically
@@ -529,7 +389,7 @@ impl<'a> InstancesView<'a> {
     /// A borrowed column accessor (carries the view's row selection).
     pub fn col(&self, attr: usize) -> ColumnView<'_> {
         ColumnView {
-            values: &self.data.columns[self.base_attr(attr)].values,
+            values: &self.data.columns[self.base_attr(attr)],
             rows: self.rows.as_deref(),
         }
     }
@@ -576,41 +436,43 @@ impl<'a> InstancesView<'a> {
         }
     }
 
-    /// Per-attribute `(min, max)`: cached stats when the view selects all
-    /// rows, recomputed over the selection otherwise.
+    /// Per-attribute `(min, max)` over the view's non-missing numeric
+    /// cells, folded in row order (`None` for nominal or all-missing
+    /// attributes).
     pub fn numeric_ranges(&self) -> Vec<Option<(f64, f64)>> {
         (0..self.n_attributes())
-            .map(|j| self.stats_of(j).range)
+            .map(|j| {
+                if self.attribute(j).kind != AttrKind::Numeric {
+                    return None;
+                }
+                let (mut lo, mut hi, mut present) = (f64::INFINITY, f64::NEG_INFINITY, false);
+                for v in self.col(j).iter().flatten() {
+                    lo = lo.min(v);
+                    hi = hi.max(v);
+                    present = true;
+                }
+                present.then_some((lo, hi))
+            })
             .collect()
     }
 
-    /// Per-attribute mean (cached or recomputed; see
-    /// [`InstancesView::numeric_ranges`]).
+    /// Per-attribute mean over the view's non-missing numeric cells,
+    /// summed in row order from `0.0` (`None` for nominal or all-missing
+    /// attributes).
     pub fn numeric_means(&self) -> Vec<Option<f64>> {
         (0..self.n_attributes())
-            .map(|j| self.stats_of(j).mean)
+            .map(|j| {
+                if self.attribute(j).kind != AttrKind::Numeric {
+                    return None;
+                }
+                let (mut sum, mut present) = (0.0, 0usize);
+                for v in self.col(j).iter().flatten() {
+                    sum += v;
+                    present += 1;
+                }
+                (present > 0).then(|| sum / present as f64)
+            })
             .collect()
-    }
-
-    /// Per-attribute modal category (cached or recomputed).
-    pub fn modes(&self) -> Vec<Option<f64>> {
-        (0..self.n_attributes())
-            .map(|j| self.stats_of(j).mode)
-            .collect()
-    }
-
-    /// Stats of one view-local attribute: the dataset's cached stats when
-    /// no row mask is active, else recomputed over the selected rows.
-    pub fn stats_of(&self, attr: usize) -> ColumnStats {
-        let base = self.base_attr(attr);
-        match &self.rows {
-            None => self.data.columns[base].stats.clone(),
-            Some(rows) => compute_stats(
-                &self.data.attributes[base].kind,
-                &self.data.columns[base].values,
-                rows.iter().copied(),
-            ),
-        }
     }
 
     /// Materialize the view into an owned [`Instances`] (used where an
@@ -622,11 +484,10 @@ impl<'a> InstancesView<'a> {
             .collect();
         let columns = (0..self.n_attributes())
             .map(|j| {
-                let base = self.base_attr(j);
-                let col = &self.data.columns[base];
+                let col = &self.data.columns[self.base_attr(j)];
                 match &self.rows {
                     None => col.clone(),
-                    Some(rows) => col.gather(&self.data.attributes[base].kind, rows),
+                    Some(rows) => rows.iter().map(|&i| col[i]).collect(),
                 }
             })
             .collect();
@@ -751,14 +612,12 @@ mod tests {
         let inst = Instances::from_table(&table(), Some("class"), &["id"]).unwrap();
         assert_eq!(inst.class_counts(), vec![3, 1]);
         assert_eq!(inst.majority_class(), 0);
-        let ranges = inst.numeric_ranges();
+        let ranges = inst.view().numeric_ranges();
         assert_eq!(ranges[0], Some((0.5, 3.5)));
         assert_eq!(ranges[1], None);
-        let means = inst.numeric_means();
+        let means = inst.view().numeric_means();
         assert_eq!(means[0], Some(2.0));
-        let modes = inst.modes();
-        assert_eq!(modes[1], Some(0.0)); // red is modal
-        assert_eq!(modes[0], None);
+        assert_eq!(means[1], None);
     }
 
     #[test]
@@ -783,7 +642,6 @@ mod tests {
             vec![],
         );
         assert!(full.col(0).iter().all(|c| c.is_some()));
-        assert_eq!(full.column_stats(0).present, 3);
         let empty = Instances::from_rows(
             vec![attr],
             vec![vec![None], vec![None], vec![None]],
@@ -791,9 +649,8 @@ mod tests {
             vec![],
         );
         assert!(empty.col(0).iter().all(|c| c.is_none()));
-        assert_eq!(empty.column_stats(0).present, 0);
-        assert_eq!(empty.numeric_ranges()[0], None);
-        assert_eq!(empty.numeric_means()[0], None);
+        assert_eq!(empty.view().numeric_ranges()[0], None);
+        assert_eq!(empty.view().numeric_means()[0], None);
         assert!(empty.column_values(0).iter().all(|v| v.is_nan()));
     }
 
@@ -824,41 +681,56 @@ mod tests {
             vec![],
         );
         assert!((0..4).all(|r| odd.get(r, 0).is_none()));
-        assert_eq!(odd.column_stats(0), null.column_stats(0));
+        assert_eq!(odd.view().numeric_ranges(), null.view().numeric_ranges());
+        assert_eq!(odd.view().numeric_means(), null.view().numeric_means());
         assert_eq!(odd, null);
-        let mut inst = null.clone();
-        inst.set(4, 0, Some(f64::NEG_INFINITY));
-        assert_eq!(inst.get(4, 0), None);
-        assert_eq!(inst.column_stats(0).present, 0);
-        inst.set(4, 0, Some(-0.0));
-        assert_eq!(inst.get(4, 0).map(f64::to_bits), Some((-0.0f64).to_bits()));
+        let signed = Instances::from_rows(
+            vec![Attribute {
+                name: "x".into(),
+                kind: AttrKind::Numeric,
+            }],
+            vec![vec![Some(f64::NEG_INFINITY)], vec![Some(-0.0)]],
+            vec![None; 2],
+            vec![],
+        );
+        assert_eq!(signed.get(0, 0), None);
+        assert_eq!(
+            signed.get(1, 0).map(f64::to_bits),
+            Some((-0.0f64).to_bits())
+        );
     }
 
     #[test]
-    fn set_recomputes_cached_stats() {
-        let inst = Instances::from_table(&table(), Some("class"), &["id"]).unwrap();
-        let mut inst = inst;
-        assert_eq!(inst.numeric_means()[0], Some(2.0));
-        inst.set(0, 0, None);
-        assert_eq!(inst.numeric_ranges()[0], Some((1.5, 3.5)));
-        assert_eq!(inst.numeric_means()[0], Some(2.5));
-        assert_eq!(inst.column_stats(0).present, 3);
-        inst.set(0, 0, Some(10.0));
-        assert_eq!(inst.numeric_ranges()[0], Some((1.5, 10.0)));
+    fn view_stats_skip_missing_cells() {
+        let x = |cells: &[Option<f64>]| {
+            Instances::from_rows(
+                vec![Attribute {
+                    name: "x".into(),
+                    kind: AttrKind::Numeric,
+                }],
+                cells.iter().map(|&c| vec![c]).collect(),
+                vec![None; cells.len()],
+                vec![],
+            )
+        };
+        let inst = x(&[None, Some(1.5), Some(2.5), Some(3.5)]);
+        assert_eq!(inst.view().numeric_ranges(), vec![Some((1.5, 3.5))]);
+        assert_eq!(inst.view().numeric_means(), vec![Some(2.5)]);
+        // The sum starts from 0.0, so an all -0.0 column has mean +0.0.
+        let zero = x(&[Some(-0.0), None]).view().numeric_means()[0].unwrap();
+        assert_eq!(zero.to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
     fn view_masking_matches_materialized_subset() {
         let inst = Instances::from_table(&table(), Some("class"), &["id"]).unwrap();
         let view = inst.view();
-        assert_eq!(view.numeric_ranges(), inst.numeric_ranges());
         let rows = [3usize, 0, 3];
         let masked = view.select_rows(&rows);
         let owned = inst.view().select_rows(&rows).materialize();
         assert_eq!(masked.len(), 3);
-        assert_eq!(masked.numeric_ranges(), owned.numeric_ranges());
-        assert_eq!(masked.numeric_means(), owned.numeric_means());
-        assert_eq!(masked.modes(), owned.modes());
+        assert_eq!(masked.numeric_ranges(), owned.view().numeric_ranges());
+        assert_eq!(masked.numeric_means(), owned.view().numeric_means());
         assert_eq!(masked.class_counts(), owned.class_counts());
         // Chained selection composes through to base rows.
         let narrower = masked.select_rows(&[1]);
@@ -892,12 +764,9 @@ mod tests {
         let view = inst.view();
         let rows = [2usize, 1];
         let masked = view.select_rows(&rows);
-        // color: row 2 is missing, row 1 is "blue" (code 1).
-        let stats = masked.stats_of(1);
-        assert_eq!(stats.present, 1);
-        assert_eq!(stats.mode, Some(1.0));
-        // x over rows {2, 1}.
-        assert_eq!(masked.stats_of(0).range, Some((1.5, 2.5)));
+        // x over rows {2, 1}; color and flag are nominal.
+        assert_eq!(masked.numeric_ranges(), vec![Some((1.5, 2.5)), None, None]);
+        assert_eq!(masked.numeric_means(), vec![Some(2.0), None, None]);
     }
 
     #[test]

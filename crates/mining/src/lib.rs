@@ -30,7 +30,7 @@ pub use eval::{
     cross_validate, cross_validate_with, holdout_split, ConfusionMatrix, CrossValOptions,
     EvalResult,
 };
-pub use instances::{AttrKind, Attribute, ColumnStats, ColumnView, Instances, InstancesView};
+pub use instances::{AttrKind, Attribute, ColumnView, Instances, InstancesView};
 pub use reduce::Pca;
 pub use rules::{Apriori, Rule};
 pub use select::{cfs_select, information_gain, information_gain_ranking, project};

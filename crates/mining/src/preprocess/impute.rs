@@ -1,47 +1,83 @@
 //! Missing-value imputation: mean/mode baseline and k-NN imputation
 //! (Troyanskaya et al. \[16\], the paper's reference for missing-value
 //! estimation).
+//!
+//! A NaN or ±∞ numeric cell is missing here, as it is to the mining and
+//! quality kernels: it never enters a mean, a min-max range or a k-NN
+//! distance, and it is filled like a null, so a table with such cells
+//! imputes exactly like the same table with those cells null.
 
 use crate::error::Result;
 use openbi_table::{stats, Column, DataType, Table, Value};
 
-/// Fill numeric nulls with the column mean and string/bool nulls with the
-/// column mode. Columns that are entirely null are left unchanged.
+/// A numeric column's cells with every NaN or ±∞ cell read as missing.
+fn finite_cells(col: &Column) -> Vec<Option<f64>> {
+    col.to_f64_vec()
+        .into_iter()
+        .map(|x| x.filter(|v| v.is_finite()))
+        .collect()
+}
+
+/// The mean of the present cells, summed in row order (the additions
+/// `stats::mean` makes over a column's non-null cells).
+fn mean_of(cells: &[Option<f64>]) -> Option<f64> {
+    let present = cells.iter().flatten();
+    let n = present.clone().count();
+    (n > 0).then(|| present.sum::<f64>() / n as f64)
+}
+
+/// The cell that fills a missing slot of `col` with `value`: rounded in
+/// an integer column.
+fn numeric_fill(col: &Column, value: f64) -> Value {
+    if col.dtype() == DataType::Int {
+        Value::Int(value.round() as i64)
+    } else {
+        Value::Float(value)
+    }
+}
+
+/// Fill numeric missing cells (null, NaN or ±∞) with the mean of the
+/// column's finite cells and string/bool nulls with the column mode.
+/// Columns with no present cell are left unchanged.
 pub fn impute_mean_mode(table: &Table, exclude: &[&str]) -> Result<Table> {
     let mut out = table.clone();
     for col in table.columns() {
-        if exclude.contains(&col.name()) || col.null_count() == 0 {
+        if exclude.contains(&col.name()) {
             continue;
         }
-        let fill: Option<Value> = match col.dtype() {
-            DataType::Float => stats::mean(col).map(Value::Float),
-            DataType::Int => stats::mean(col).map(|m| Value::Int(m.round() as i64)),
-            DataType::Str | DataType::Bool => {
-                let counts = stats::value_counts(col);
-                counts
-                    .into_iter()
-                    .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(&a.0)))
-                    .map(|(v, _)| match col.dtype() {
-                        DataType::Bool => Value::Bool(v == "true"),
-                        _ => Value::Str(v),
-                    })
+        let name = col.name().to_string();
+        if col.dtype().is_numeric() {
+            let cells = finite_cells(col);
+            if let Some(mean) = mean_of(&cells) {
+                for (row, _) in cells.iter().enumerate().filter(|(_, c)| c.is_none()) {
+                    out.set(&name, row, numeric_fill(col, mean))?;
+                }
             }
-        };
-        let Some(fill) = fill else { continue };
-        for row in 0..col.len() {
-            if col.get(row)?.is_null() {
-                out.set(col.name().to_string().as_str(), row, fill.clone())?;
+        } else if col.null_count() > 0 {
+            let mode = stats::value_counts(col)
+                .into_iter()
+                .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(&a.0)))
+                .map(|(v, _)| match col.dtype() {
+                    DataType::Bool => Value::Bool(v == "true"),
+                    _ => Value::Str(v),
+                });
+            if let Some(fill) = mode {
+                for row in 0..col.len() {
+                    if col.get(row)?.is_null() {
+                        out.set(&name, row, fill.clone())?;
+                    }
+                }
             }
         }
     }
     Ok(out)
 }
 
-/// k-NN imputation of numeric columns: each missing cell is filled with
-/// the mean of that attribute among the k nearest rows (distance over
-/// min-max-normalized numeric attributes present in both rows).
-/// Non-numeric columns fall back to mode imputation. Quadratic; intended
-/// for datasets in the experiment-size range.
+/// k-NN imputation of numeric columns: each missing cell (null, NaN or
+/// ±∞) is filled with the mean of that attribute among the k nearest
+/// rows (distance over min-max-normalized numeric attributes present in
+/// both rows). Non-numeric columns fall back to mode imputation.
+/// Quadratic; intended for datasets in the experiment-size range.
 ///
 /// The normalized feature matrix is one flat row-major `Vec<f64>` with a
 /// parallel presence mask (no per-row allocations), and neighbor
@@ -54,13 +90,13 @@ pub fn impute_knn(table: &Table, k: usize, exclude: &[&str]) -> Result<Table> {
         .iter()
         .filter(|c| c.dtype().is_numeric() && !exclude.contains(&c.name()))
         .collect();
+    let cells: Vec<Vec<Option<f64>>> = numeric.iter().map(|col| finite_cells(col)).collect();
     let n = table.n_rows();
     let d = numeric.len();
     // Flat row-major normalized matrix + presence mask.
     let mut values = vec![0.0f64; n * d];
     let mut present = vec![false; n * d];
-    for (ci, col) in numeric.iter().enumerate() {
-        let raw = col.to_f64_vec();
+    for (ci, raw) in cells.iter().enumerate() {
         let vals: Vec<f64> = raw.iter().flatten().copied().collect();
         let (lo, hi) = if vals.is_empty() {
             (0.0, 1.0)
@@ -93,12 +129,8 @@ pub fn impute_knn(table: &Table, k: usize, exclude: &[&str]) -> Result<Table> {
         (dims > 0).then(|| (sum / dims as f64).sqrt())
     };
     let mut out = table.clone();
-    for (ci, col) in numeric.iter().enumerate() {
-        if col.null_count() == 0 {
-            continue;
-        }
-        let raw = col.to_f64_vec();
-        let is_int = col.dtype() == DataType::Int;
+    for (col, raw) in numeric.iter().zip(&cells) {
+        let name = col.name().to_string();
         for row in 0..n {
             if raw[row].is_some() {
                 continue;
@@ -125,17 +157,12 @@ pub fn impute_knn(table: &Table, k: usize, exclude: &[&str]) -> Result<Table> {
             candidates[..kk].sort_unstable_by(order);
             let neighbors = &candidates[..kk];
             let fill = if neighbors.is_empty() {
-                stats::mean(col)
+                mean_of(raw)
             } else {
                 Some(neighbors.iter().map(|(_, _, v)| *v).sum::<f64>() / neighbors.len() as f64)
             };
             if let Some(f) = fill {
-                let value = if is_int {
-                    Value::Int(f.round() as i64)
-                } else {
-                    Value::Float(f)
-                };
-                out.set(numeric[ci].name().to_string().as_str(), row, value)?;
+                out.set(&name, row, numeric_fill(col, f))?;
             }
         }
     }
@@ -214,6 +241,37 @@ mod tests {
         .unwrap();
         let out = impute_knn(&t, 2, &[]).unwrap();
         assert_eq!(out.get("y", 2).unwrap(), Value::Float(15.0));
+    }
+
+    /// 60 rows whose `x` has two nulls, an ∞ and a NaN: both imputers
+    /// fill the four cells from the finite ones, as they fill the table
+    /// with those two cells null.
+    #[test]
+    fn non_finite_cells_impute_like_nulls() {
+        let x = |special: [Option<f64>; 2]| {
+            Column::from_opt_f64(
+                "x",
+                (0..60).map(|i| match i {
+                    7 | 31 => None,
+                    19 => special[0],
+                    44 => special[1],
+                    _ => Some((i % 10) as f64),
+                }),
+            )
+        };
+        let y = Column::from_f64("y", (0..60).map(|i| (i % 10) as f64 * 2.0 + (i % 3) as f64));
+        let odd = Table::new(vec![x([Some(f64::INFINITY), Some(f64::NAN)]), y.clone()]).unwrap();
+        let twin = Table::new(vec![x([None, None]), y]).unwrap();
+        let imputers: [fn(&Table) -> Table; 2] = [
+            |t| impute_mean_mode(t, &[]).unwrap(),
+            |t| impute_knn(t, 5, &[]).unwrap(),
+        ];
+        for impute in imputers {
+            let (got, want) = (impute(&odd), impute(&twin));
+            assert_eq!(got.fingerprint(), want.fingerprint());
+            let x = got.column("x").unwrap().to_f64_vec();
+            assert!(x.iter().all(|v| v.is_some_and(f64::is_finite)), "{x:?}");
+        }
     }
 
     #[test]

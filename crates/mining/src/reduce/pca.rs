@@ -70,7 +70,7 @@ impl Pca {
         if n < 2 {
             return Err(MiningError::InvalidDataset("PCA needs >= 2 rows".into()));
         }
-        let all_means = data.numeric_means();
+        let all_means = data.view().numeric_means();
         let means: Vec<f64> = attr_indices
             .iter()
             .map(|&a| all_means[a].unwrap_or(0.0))
@@ -171,13 +171,19 @@ mod tests {
     use super::*;
 
     fn correlated_data() -> Instances {
-        // Points along the line y ≈ 2x with small orthogonal spread.
+        correlated_data_with(|_| {})
+    }
+
+    /// Points along the line y ≈ 2x with small orthogonal spread, the
+    /// rows edited by `edit`.
+    fn correlated_data_with(edit: impl FnOnce(&mut [Vec<Option<f64>>])) -> Instances {
         let mut rows = Vec::new();
         for i in 0..50 {
             let t = i as f64 * 0.1;
             let wiggle = if i % 2 == 0 { 0.05 } else { -0.05 };
             rows.push(vec![Some(t + wiggle), Some(2.0 * t - wiggle)]);
         }
+        edit(&mut rows);
         let labels = vec![None; rows.len()];
         Instances::from_rows(
             vec![
@@ -254,8 +260,7 @@ mod tests {
 
     #[test]
     fn missing_values_mean_imputed() {
-        let mut d = correlated_data();
-        d.set(0, 0, None);
+        let d = correlated_data_with(|rows| rows[0][0] = None);
         let pca = Pca::fit(&d, 1).unwrap();
         let t = pca.transform(&d).unwrap();
         assert!(t.get(0, 0).unwrap().is_finite());

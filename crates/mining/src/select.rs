@@ -232,6 +232,12 @@ mod tests {
     /// signal predicts the class; noise is irrelevant; echo duplicates
     /// signal (redundant).
     fn data() -> Instances {
+        data_with(|_| {})
+    }
+
+    /// Noise, signal and a near copy of the signal, the rows edited by
+    /// `edit`.
+    fn data_with(edit: impl FnOnce(&mut [Vec<Option<f64>>])) -> Instances {
         let mut rows = Vec::new();
         let mut labels = Vec::new();
         for i in 0..80 {
@@ -241,6 +247,7 @@ mod tests {
             rows.push(vec![Some(noise), Some(signal), Some(echo)]);
             labels.push(Some(i % 2));
         }
+        edit(&mut rows);
         Instances::from_rows(
             vec![
                 Attribute {
@@ -316,10 +323,11 @@ mod tests {
 
     #[test]
     fn missing_values_get_their_own_bucket() {
-        let mut d = data();
-        for i in 0..10 {
-            d.set(i, 1, None);
-        }
+        let d = data_with(|rows| {
+            for row in &mut rows[..10] {
+                row[1] = None;
+            }
+        });
         // Still works; an informative attribute (echo now carries the
         // cleaner copy) still ranks first.
         let ranking = information_gain_ranking(&d).unwrap();

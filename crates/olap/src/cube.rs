@@ -126,44 +126,31 @@ impl Cube {
     }
 
     /// Slice: fix one dimension to a value, returning a cube over the
-    /// remaining facts.
+    /// remaining facts ([`Cube::dice`] with one value).
     pub fn slice(&self, dimension: &str, value: &str) -> Result<Cube> {
-        if !self.dimensions.iter().any(|x| x == dimension) {
-            return Err(TableError::InvalidArgument(format!(
-                "{dimension} is not a declared dimension"
-            )));
-        }
-        let col_idx = self
-            .facts
-            .column_names()
-            .iter()
-            .position(|n| *n == dimension)
-            .expect("validated dimension");
-        let facts = self.facts.filter(|row| row[col_idx].to_string() == value);
-        Ok(Cube {
-            facts,
-            dimensions: self.dimensions.clone(),
-            measures: self.measures.clone(),
-        })
+        self.dice(dimension, &[value])
     }
 
-    /// Dice: keep rows where `dimension`'s value is in `values`.
+    /// Dice: keep rows whose `dimension` key is in `values`. A key is
+    /// its cell's `Value::to_string()` text, read off the column's
+    /// categories ([`Column::categories`](openbi_table::Column::categories)),
+    /// and a null key renders as `""`, so only the key column is read.
     pub fn dice(&self, dimension: &str, values: &[&str]) -> Result<Cube> {
         if !self.dimensions.iter().any(|x| x == dimension) {
             return Err(TableError::InvalidArgument(format!(
                 "{dimension} is not a declared dimension"
             )));
         }
-        let col_idx = self
-            .facts
-            .column_names()
+        let cats = self.facts.column(dimension)?.categories();
+        let kept: Vec<bool> = cats
+            .texts()
             .iter()
-            .position(|n| *n == dimension)
-            .expect("validated dimension");
-        let facts = self.facts.filter(|row| {
-            let v = row[col_idx].to_string();
-            values.iter().any(|x| *x == v)
-        });
+            .map(|text| values.contains(&text.as_str()))
+            .collect();
+        let keep_null = values.contains(&"");
+        let facts = self
+            .facts
+            .filter_by_index(|row| cats.code(row).map_or(keep_null, |code| kept[code]));
         Ok(Cube {
             facts,
             dimensions: self.dimensions.clone(),

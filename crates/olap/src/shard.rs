@@ -43,7 +43,9 @@
 use crate::accumulator::{CellQuality, CellState};
 use crate::cube::Measure;
 use openbi_faults::FaultPlan;
-use openbi_table::{Categories, Column, ColumnData, DataType, Result, Table, TableError, Value};
+use openbi_table::{
+    par, Categories, Column, ColumnData, DataType, Result, Table, TableError, Value,
+};
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
@@ -77,9 +79,7 @@ impl CubeOptions {
 
     fn resolved_shards(&self, n_rows: usize) -> usize {
         let requested = if self.shards == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get().min(8))
-                .unwrap_or(1)
+            par::cores().min(8)
         } else {
             self.shards
         };
@@ -399,31 +399,14 @@ pub fn build_cube(
     if let Some(pair) = names.windows(2).find(|pair| pair[0] == pair[1]) {
         return Err(TableError::DuplicateColumn(pair[0].clone()));
     }
-    // Encode the dimension columns up front (in parallel — one column
-    // per thread). Encoding is a pure per-column function of the data,
-    // so it is identical at every shard count.
-    let dim_views: Vec<DimIndex> = if dims.len() > 1 {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = dims
-                .iter()
-                .map(|d| {
-                    let col = facts.column(d).expect("validated");
-                    scope.spawn(move || DimIndex::new(col))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(index) => index,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        })
-    } else {
-        dims.iter()
-            .map(|d| DimIndex::new(facts.column(d).expect("validated")))
-            .collect()
-    };
+    // Encode the dimension columns up front, one column per item.
+    // Encoding is a pure per-column function of the data, so it is
+    // identical at every shard count.
+    let dim_cols: Vec<&Column> = dims
+        .iter()
+        .map(|d| facts.column(d).expect("validated"))
+        .collect();
+    let dim_views: Vec<DimIndex> = par::map(dim_cols, DimIndex::new);
     let quality_views: Vec<NumView<'_>> = quality_cols
         .iter()
         .map(|c| NumView::new(facts.column(c).expect("validated")))
@@ -466,25 +449,10 @@ pub fn build_cube(
         outcome
     };
 
-    let outcomes: Vec<ShardOutcome> = if plan.bounds.len() == 1 {
-        vec![run_shard(0, &plan.bounds[0])]
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = plan
-                .bounds
-                .iter()
-                .enumerate()
-                .map(|(shard, range)| scope.spawn(move || run_shard(shard, range)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(outcome) => outcome,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        })
-    };
+    let outcomes: Vec<ShardOutcome> = par::map(
+        plan.bounds.iter().enumerate().collect(),
+        |(shard, range)| run_shard(shard, range),
+    );
 
     // Merge shard maps in shard order: first-seen-wins insertion over
     // contiguous ordered shards reproduces global first-seen order.

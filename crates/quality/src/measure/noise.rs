@@ -42,7 +42,7 @@
 //!    the k-th smallest without-`d` distance is at most that. A NaN
 //!    distance or bound never lets a block be skipped.
 //! 4. The rows are split into contiguous blocks, one per available core
-//!    and at least `MIN_BLOCK_ROWS` rows each, swept on scoped threads.
+//!    and at least `MIN_BLOCK_ROWS` rows each, swept by `par::map`.
 //!    Label votes are integer counts; each (row, dimension) local
 //!    variance lands in its own slot, and the slots are summed in row
 //!    order after the join, so the estimates have the same bits at any
@@ -58,9 +58,8 @@
 //! same table with those cells null scores.
 
 use super::{pack_numeric, PackedColumn};
-use openbi_table::Table;
+use openbi_table::{par, Table};
 use std::ops::Range;
-use std::sync::OnceLock;
 
 /// Cap on rows used by the quadratic estimators.
 pub const DEFAULT_MAX_ROWS: usize = 512;
@@ -395,7 +394,7 @@ impl Sweep {
             rest = tail;
             parts.push((rows, slots));
         }
-        let votes = in_blocks(parts, |rows, slots| self.sweep_rows(rows, slots))
+        let votes = par::map(parts, |(rows, slots)| self.sweep_rows(rows, slots))
             .into_iter()
             .fold(Votes::default(), |sum, v| Votes {
                 disagreements: sum.disagreements + v.disagreements,
@@ -522,42 +521,6 @@ impl Sweep {
     }
 }
 
-/// Run `f` on every `(rows, slots)` part, the first on the calling
-/// thread and each other on a scoped thread of its own, and return the
-/// results in part order. A panic in a part resumes unwinding here with
-/// its own payload.
-fn in_blocks<T, F>(parts: Vec<(Range<usize>, &mut [f64])>, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(Range<usize>, &mut [f64]) -> T + Sync,
-{
-    let mut parts = parts.into_iter();
-    let Some((rows, slots)) = parts.next() else {
-        return Vec::new();
-    };
-    let f = &f;
-    std::thread::scope(|scope| {
-        let spawned: Vec<_> = parts
-            .map(|(rows, slots)| scope.spawn(move || f(rows, slots)))
-            .collect();
-        let mut out = vec![f(rows, slots)];
-        for handle in spawned {
-            out.push(
-                handle
-                    .join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
-            );
-        }
-        out
-    })
-}
-
-/// Cores this process may run on, read once.
-fn available_cores() -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
 /// Label noise against `target` (when given) and attribute noise of
 /// `table` over already-packed feature columns (the target must not be
 /// among them), from one sweep over the sampled rows split across the
@@ -571,7 +534,7 @@ pub(crate) fn estimates_from_packed(
     seed: u64,
 ) -> NoiseEstimates {
     let sweep = Sweep::new(table, target, packed, k, max_rows, seed);
-    let blocks = available_cores().min(sweep.n_rows() / MIN_BLOCK_ROWS);
+    let blocks = par::cores().min(sweep.n_rows() / MIN_BLOCK_ROWS);
     sweep.run(blocks)
 }
 
@@ -1000,23 +963,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn a_panicking_block_resumes_unwinding_with_its_payload() {
-        let mut slots = [0.0; 4];
-        let (a, b) = slots.split_at_mut(2);
-        let parts = vec![(0..2, a), (2..4, b)];
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            in_blocks(parts, |rows, _| {
-                if rows.start == 2 {
-                    std::panic::panic_any("block 1 failed");
-                }
-                rows.len()
-            })
-        }))
-        .unwrap_err();
-        assert_eq!(caught.downcast_ref::<&str>(), Some(&"block 1 failed"));
     }
 
     #[test]

@@ -22,6 +22,10 @@
 //!   row sampling here and every degradation, fold split, bootstrap and
 //!   synthetic dataset above draw from it, so every seeded output is a
 //!   pure function of its seed on every build, with no external crate.
+//! * [`par::map`] is the one fork-join: the noise sweep, the cube build
+//!   and parallel cross-validation run their items on the calling thread
+//!   plus one scoped helper per further core ([`par::cores`]) and get
+//!   the results back in item order.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,6 +37,7 @@ pub mod error;
 pub mod exact;
 pub mod fingerprint;
 pub mod group;
+pub mod par;
 pub mod rng;
 pub mod schema;
 pub mod stats;

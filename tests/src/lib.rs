@@ -56,6 +56,14 @@ pub fn null_nonfinite(table: &Table) -> Table {
     Table::new(columns).expect("same shape as a valid table")
 }
 
+/// FNV-1a, 64-bit, over `bytes`: the digest the equivalence suites pin
+/// outputs by (words and float bits go in as little-endian bytes).
+pub fn fnv64(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// Check `property` on `cases` generated cases. Case `i` draws its
 /// inputs from `Rng::seed_from_u64(i)`, so every run checks the same
 /// cases. There is no shrinking: a failing case prints its seed, and the

@@ -36,8 +36,12 @@
 //!    process-wide table, and of the forest's on the seed-2012
 //!    `pipeline_mix` tables, taken before each fit grew its tree on one
 //!    in-place partitioned arena.
+//! 5. **Guided imputation** — both imputing steps fill a NaN or ±∞ cell
+//!    of the non-finite corpora exactly as they fill the null of the
+//!    corpus's `null_nonfinite` twin.
 
 use openbi::experiment::{run_phase1_report, Criterion, ExperimentConfig, ExperimentDataset};
+use openbi::guidance::{PreprocessingPlan, PreprocessingStep};
 use openbi::kb::SnapshotKnowledgeBase;
 use openbi::mining::eval::crossval::{cross_validate_with, holdout_split, CrossValOptions};
 use openbi::mining::instances::AttrKind;
@@ -46,7 +50,7 @@ use openbi_datagen::{
     all_scenarios, make_blobs, make_rule_based, reference_datasets, BlobsConfig, RuleConfig,
 };
 use openbi_integration::reference::mining as reference;
-use openbi_integration::{null_nonfinite, pipeline_mix_scenarios};
+use openbi_integration::{fnv64, null_nonfinite, pipeline_mix_scenarios};
 use openbi_quality::{Degradation, MissingInjector};
 use openbi_table::{Column, Rng, Table};
 
@@ -495,13 +499,42 @@ fn grid_kb_is_byte_identical_across_worker_counts() {
 }
 
 /// FNV-1a, 64-bit, over the little-endian bytes of `words`.
-fn fnv64_words(words: &[u64]) -> u64 {
-    words
-        .iter()
-        .flat_map(|w| w.to_le_bytes())
-        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
+/// A NaN or ±∞ cell is missing to guided imputation: it enters no
+/// mean, range or distance and is filled like a null, so imputing a
+/// non-finite corpus and then nulling what is left equals imputing its
+/// null twin, and only the all-missing column keeps missing cells.
+#[test]
+fn guided_imputation_fills_non_finite_cells_like_nulls() {
+    let specials = [
+        ("infinite", [f64::INFINITY, f64::NEG_INFINITY]),
+        ("nan", [f64::NAN, -f64::NAN]),
+    ];
+    for seed in SEEDS {
+        for (name, specials) in specials {
+            let table = nonfinite(180, seed, &specials);
+            let twin = null_nonfinite(&table);
+            assert!(twin.total_null_count() > table.total_null_count());
+            for step in [
+                PreprocessingStep::ImputeKnn { k: 5 },
+                PreprocessingStep::ImputeMeanMode,
+            ] {
+                let context = format!("{name} seed {seed}: {step:?}");
+                let plan = PreprocessingPlan { steps: vec![step] };
+                let imputed = plan.apply(&table, &["class"]).unwrap();
+                let want = plan.apply(&twin, &["class"]).unwrap();
+                assert_eq!(
+                    null_nonfinite(&imputed).fingerprint(),
+                    want.fingerprint(),
+                    "{context}"
+                );
+                assert_eq!(
+                    null_nonfinite(&imputed).total_null_count(),
+                    table.n_rows(),
+                    "{context}: only the all-missing column stays missing"
+                );
+            }
+        }
+    }
 }
 
 /// The words a CV result is pinned by: each fold's accuracy bits, the
@@ -556,7 +589,7 @@ fn benchmark_tree_cv_matches_pinned_digests() {
                 let words = cv_words(&data, spec, seed);
                 computed.push((
                     format!("{seed}/{name}/{}", spec.name()),
-                    fnv64_words(&words),
+                    fnv64(words.iter().flat_map(|w| w.to_le_bytes())),
                 ));
             }
         }
@@ -573,7 +606,7 @@ fn benchmark_tree_cv_matches_pinned_digests() {
         }
         computed.push((
             format!("{seed}/pipeline_mix/{}", spec.name()),
-            fnv64_words(&words),
+            fnv64(words.iter().flat_map(|w| w.to_le_bytes())),
         ));
     }
     let drift: Vec<String> = computed

@@ -27,7 +27,7 @@ use openbi_integration::lod_corpora::{
     kitchen_sink, BLANK_LABEL_DOCUMENTS, HANDWRITTEN_NTRIPLES, HANDWRITTEN_TURTLE,
 };
 use openbi_integration::reference::lod as reference;
-use openbi_integration::{check_cases, len_in, pipeline_mix_scenarios};
+use openbi_integration::{check_cases, fnv64, len_in, pipeline_mix_scenarios};
 use openbi_lod::vocab::{rdf, xsd};
 use openbi_lod::{
     parse_ntriples, parse_turtle, publish_table, tabularize, write_ntriples, write_turtle, Graph,
@@ -413,13 +413,6 @@ fn sparse_and_special_tables_publish_the_reference_graph() {
     );
 }
 
-/// FNV-1a, 64-bit.
-fn fnv64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// One digest of many documents, each length-prefixed.
 fn fnv64_all<'a>(documents: impl IntoIterator<Item = &'a String>) -> u64 {
     let mut all = Vec::new();
@@ -427,7 +420,7 @@ fn fnv64_all<'a>(documents: impl IntoIterator<Item = &'a String>) -> u64 {
         all.extend_from_slice(&(doc.len() as u64).to_le_bytes());
         all.extend_from_slice(doc.as_bytes());
     }
-    fnv64(&all)
+    fnv64(all)
 }
 
 fn check_digests(computed: &[(String, u64)], pinned: &[(&str, u64)]) {
@@ -536,7 +529,7 @@ fn serialized_corpora_match_pinned_digests() {
     }
     let computed: Vec<(String, u64)> = documents
         .iter()
-        .map(|(name, text)| (name.clone(), fnv64(text.as_bytes())))
+        .map(|(name, text)| (name.clone(), fnv64(text.bytes())))
         .collect();
     check_digests(&computed, &CORPUS_DIGESTS);
 }

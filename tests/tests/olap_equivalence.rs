@@ -331,31 +331,67 @@ fn empty_fact_table_yields_empty_cube() {
     assert_equivalent(facts, &["g"], all_measures("x"), "empty fact table");
 }
 
+/// Int, bool and float dimension keys with a null int and NaN floats.
+fn typed_key_facts() -> Table {
+    Table::new(vec![
+        Column::from_opt_i64("year", [Some(2020), Some(2021), None, Some(2020), None]),
+        Column::from_bool("flagged", [true, false, true, true, false]),
+        Column::from_f64("band", [1.5, 2.5, 1.5, f64::NAN, f64::NAN]),
+        Column::from_f64("x", [1.0, 2.0, 3.0, 4.0, 5.0]),
+    ])
+    .unwrap()
+}
+
 /// Mixed dimension dtypes (int, bool, float keys — not just strings):
 /// dictionary encoding renders keys exactly as `group_by` does, so a
 /// float dimension value like `2020.5` or a null key must produce the
 /// same key string and group order.
 #[test]
 fn non_string_dimension_keys_render_identically() {
-    let facts = Table::new(vec![
-        Column::from_opt_i64("year", [Some(2020), Some(2021), None, Some(2020), None]),
-        Column::from_bool("flagged", [true, false, true, true, false]),
-        Column::from_f64("band", [1.5, 2.5, 1.5, f64::NAN, f64::NAN]),
-        Column::from_f64("x", [1.0, 2.0, 3.0, 4.0, 5.0]),
-    ])
-    .unwrap();
     assert_equivalent(
-        facts,
+        typed_key_facts(),
         &["year", "flagged", "band"],
         all_measures("x"),
         "typed dimension keys",
     );
 }
 
+/// `slice` and `dice` on the live cube keep the fact rows the
+/// reference's row-rendering `Table::filter` keeps, in the same order.
+fn assert_same_dice(live: &Cube, frozen: &reference::Cube, dim: &str, values: &[&str]) {
+    assert_eq!(
+        live.dice(dim, values).unwrap().facts().fingerprint(),
+        frozen.dice(dim, values).unwrap().facts().fingerprint(),
+        "dice({dim}, {values:?}) selects the same rows"
+    );
+    for value in values {
+        assert_eq!(
+            live.slice(dim, value).unwrap().facts().fingerprint(),
+            frozen.slice(dim, value).unwrap().facts().fingerprint(),
+            "slice({dim}, {value:?}) selects the same rows"
+        );
+    }
+}
+
 /// Slice and dice go through the same sharded rollup afterwards; the
-/// filtered sub-cubes must stay equivalent too.
+/// filtered sub-cubes must stay equivalent too. Dice keeps several
+/// values, one of them absent; on typed keys a null int renders as
+/// `""`, a bool as `true`/`false` and every NaN as `NaN`.
 #[test]
 fn slice_and_dice_subcubes_stay_equivalent() {
+    let typed = typed_key_facts();
+    let dims = ["year", "flagged", "band"];
+    let live = Cube::new(typed.clone(), &dims, all_measures("x")).unwrap();
+    let frozen = reference::Cube::new(typed, &dims, all_measures("x")).unwrap();
+    for (dim, values) in [
+        ("year", &["", "2020", "1999"][..]),
+        ("year", &["2021"][..]),
+        ("flagged", &["true", "yes"][..]),
+        ("band", &["NaN", "2.5", "-1"][..]),
+        ("band", &[""][..]),
+    ] {
+        assert_same_dice(&live, &frozen, dim, values);
+    }
     for seed in SEEDS {
         let sc = &all_scenarios(400, seed)[0];
         let names = sc.table.column_names();
@@ -376,11 +412,9 @@ fn slice_and_dice_subcubes_stay_equivalent() {
         let value = sc.table.column(dim).unwrap().get(0).unwrap().to_string();
         let live_slice = live.slice(dim, &value).unwrap();
         let frozen_slice = frozen.slice(dim, &value).unwrap();
-        assert_eq!(
-            live_slice.facts().fingerprint(),
-            frozen_slice.facts().fingerprint(),
-            "slice selects the same rows"
-        );
+        let last = sc.table.n_rows() - 1;
+        let other = sc.table.column(dim).unwrap().get(last).unwrap().to_string();
+        assert_same_dice(&live, &frozen, dim, &[&value, &other, "no such key"]);
         for shards in SHARD_COUNTS {
             assert_eq!(
                 frozen_slice.rollup(&dims).unwrap().fingerprint(),

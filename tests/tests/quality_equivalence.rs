@@ -31,7 +31,7 @@ use openbi::obs;
 use openbi::pipeline::{run_pipeline, DataSource, PipelineConfig};
 use openbi_datagen::{make_blobs, BlobsConfig};
 use openbi_integration::reference::quality as reference;
-use openbi_integration::{null_nonfinite, pipeline_mix_scenarios};
+use openbi_integration::{fnv64, null_nonfinite, pipeline_mix_scenarios};
 use openbi_quality::measure::balance::balance_report;
 use openbi_quality::measure::completeness::completeness;
 use openbi_quality::measure::consistency::format_signature;
@@ -890,16 +890,6 @@ fn noise_estimates_match_pinned_bits() {
     );
 }
 
-/// FNV-1a, 64-bit, over the little-endian bits of `values`.
-fn fnv64_bits(values: &[f64]) -> u64 {
-    values
-        .iter()
-        .flat_map(|v| v.to_bits().to_le_bytes())
-        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
-}
-
 /// Digests of both noise estimates over the 24 [`pipeline_mix_scenarios`]
 /// of each seed, per seed and k, and of the two estimates
 /// `measure_profile` reports for those tables, per seed.
@@ -946,8 +936,14 @@ fn pipeline_mix_noise_estimates_match_pinned_digests() {
                 label.push(noise.label);
                 attribute.push(noise.attribute);
             }
-            computed.push((format!("{seed}/k{k}/label"), fnv64_bits(&label)));
-            computed.push((format!("{seed}/k{k}/attribute"), fnv64_bits(&attribute)));
+            computed.push((
+                format!("{seed}/k{k}/label"),
+                fnv64(label.iter().flat_map(|v| v.to_bits().to_le_bytes())),
+            ));
+            computed.push((
+                format!("{seed}/k{k}/attribute"),
+                fnv64(attribute.iter().flat_map(|v| v.to_bits().to_le_bytes())),
+            ));
         }
         let profiled: Vec<f64> = tables
             .iter()
@@ -960,7 +956,10 @@ fn pipeline_mix_noise_estimates_match_pinned_digests() {
                 [p.label_noise_estimate, p.attr_noise_estimate]
             })
             .collect();
-        computed.push((format!("{seed}/profile"), fnv64_bits(&profiled)));
+        computed.push((
+            format!("{seed}/profile"),
+            fnv64(profiled.iter().flat_map(|v| v.to_bits().to_le_bytes())),
+        ));
     }
     let drift: Vec<String> = computed
         .iter()
