@@ -10,7 +10,6 @@
 //!                     [--fault-plan plan.txt] [--max-retries R]
 //!                     [--cell-deadline-ms MS]
 //!                     [--wal-dir DIR] [--fsync always|batch|never]
-//!                     [--checkpoint-every N]
 //! openbi-cli kb recover --wal-dir DIR [--out kb.jsonl]
 //! openbi-cli advise   <data.csv> --target COL --kb kb.jsonl
 //!                     [--neighbors N] [--bandwidth H]
@@ -50,12 +49,13 @@
 //! log with records but no recorded sizes, exits 2 before it writes
 //! anything.
 //!
-//! Every numeric flag is validated: a value that does not parse exits
-//! with status 2 and an `error: --<flag> must be …` line, never a
+//! Every flag is validated before anything is written: a flag the
+//! command does not read exits with status 2 and one `error: unknown
+//! flag --<flag> for <command>` line, and a numeric value that does not
+//! parse exits 2 with an `error: --<flag> must be …` line, never a
 //! silent fallback to the default. So does an `experiments` size at
 //! which every cell would fail (`--folds` below 2, `--rows` below
-//! `--folds`, `--cell-deadline-ms 0`), and `--checkpoint-every 0`,
-//! before anything is written.
+//! `--folds`, `--cell-deadline-ms 0`).
 //! `kb recover` replays such a log on its own — useful after a crash,
 //! or to turn a log into a plain `kb.jsonl`.
 //!
@@ -157,10 +157,9 @@ USAGE:
                      [--max-retries R]         (retry failing cells R times)
                      [--cell-deadline-ms MS]   (abandon cells slower than MS)
                      [--wal-dir DIR]           (crash-durable write-ahead log)
-                     [--fsync always|batch|never]  (log flush policy; default batch)
-                     [--checkpoint-every N]    (auto-compact the log every N
-                                                published records; a run that
-                                                added frames checkpoints on exit)
+                     [--fsync always|batch|never]  (log flush policy; default batch;
+                                                a run that added frames
+                                                checkpoints on exit)
 
   openbi-cli kb recover --wal-dir DIR [--out kb.jsonl]
                      [--metrics-out metrics.json]
@@ -246,9 +245,9 @@ fn cmd_profile(args: &Args) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_mine(args: &Args, require_kb: bool) -> ExitCode {
+fn cmd_mine(args: &Args) -> ExitCode {
     let Some(path) = args.positional.first() else {
-        return fail("mine/advise needs a CSV path");
+        return fail("mine needs a CSV path");
     };
     let Some(target) = args.flag("target") else {
         return fail("--target is required");
@@ -262,7 +261,6 @@ fn cmd_mine(args: &Args, require_kb: bool) -> ExitCode {
             Ok(kb) => Some(kb),
             Err(e) => return fail(&format!("cannot load knowledge base: {e}")),
         },
-        None if require_kb => return fail("--kb is required for advise"),
         None => None,
     };
     let config = PipelineConfig {
@@ -302,17 +300,15 @@ fn cmd_mine(args: &Args, require_kb: bool) -> ExitCode {
 struct WalArgs {
     dir: String,
     fsync: FsyncPolicy,
-    checkpoint_every: Option<u64>,
 }
 
-/// Parse `--wal-dir` / `--fsync` / `--checkpoint-every`. `Ok(None)`
-/// when durability was not requested; an error when the dependent
-/// flags appear without `--wal-dir`, don't parse, or ask for a
-/// checkpoint every 0 records.
+/// Parse `--wal-dir` / `--fsync`. `Ok(None)` when durability was not
+/// requested; an error when `--fsync` appears without `--wal-dir` or
+/// does not parse.
 fn parse_wal_args(args: &Args) -> Result<Option<WalArgs>, String> {
     let Some(dir) = args.flag("wal-dir") else {
-        if args.has("fsync") || args.has("checkpoint-every") {
-            return Err("--fsync and --checkpoint-every require --wal-dir".to_string());
+        if args.has("fsync") {
+            return Err("--fsync requires --wal-dir".to_string());
         }
         return Ok(None);
     };
@@ -321,14 +317,9 @@ fn parse_wal_args(args: &Args) -> Result<Option<WalArgs>, String> {
             .ok_or_else(|| format!("--fsync must be always|batch|never, got {spec:?}"))?,
         None => FsyncPolicy::default(),
     };
-    let checkpoint_every = args.number("checkpoint-every", INTEGER)?;
-    if checkpoint_every == Some(0) {
-        return Err("--checkpoint-every must be a positive integer, got \"0\"".to_string());
-    }
     Ok(Some(WalArgs {
         dir: dir.to_string(),
         fsync,
-        checkpoint_every,
     }))
 }
 
@@ -437,11 +428,7 @@ fn refuse(msg: &str) -> ExitCode {
 /// now on. The log gains no file until the run publishes or
 /// checkpoints.
 fn open_durable_store(wal: &WalArgs) -> Result<(SnapshotKnowledgeBase, RecoveryReport), String> {
-    let mut options = DurableOptions::new(&wal.dir).fsync(wal.fsync);
-    if let Some(every) = wal.checkpoint_every {
-        options = options.checkpoint_every(every);
-    }
-    SnapshotKnowledgeBase::open_durable(options)
+    SnapshotKnowledgeBase::open_durable(DurableOptions::new(&wal.dir).fsync(wal.fsync))
         .map_err(|e| format!("cannot open write-ahead log {}: {e}", wal.dir))
 }
 
@@ -705,12 +692,10 @@ fn cmd_experiments(args: &Args) -> ExitCode {
                     Err(e) => eprintln!("warning: final checkpoint failed: {e}"),
                 }
             }
-            if store.durability_degraded() {
+            if store.wal_failures() > 0 {
                 eprintln!(
-                    "warning: {} write-ahead append(s) were refused and retried, \
-                     {} automatic checkpoint(s) failed",
-                    store.wal_failures(),
-                    store.checkpoint_failures()
+                    "warning: {} write-ahead append(s) were refused and retried",
+                    store.wal_failures()
                 );
             }
         }
@@ -982,25 +967,91 @@ fn cmd_cube(args: &Args) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// A command and the flags it reads.
+type Command = (fn(&Args) -> ExitCode, &'static [&'static str]);
+
+fn command(name: &str) -> Option<Command> {
+    Some(match name {
+        "profile" => (cmd_profile, &["target", "exclude"]),
+        "mine" => (
+            cmd_mine,
+            &[
+                "target",
+                "exclude",
+                "kb",
+                "no-preprocess",
+                "select",
+                "publish",
+            ],
+        ),
+        "advise" => (
+            cmd_advise,
+            &[
+                "target",
+                "exclude",
+                "kb",
+                "neighbors",
+                "bandwidth",
+                "metrics-out",
+            ],
+        ),
+        "experiments" => (
+            cmd_experiments,
+            &[
+                "out",
+                "rows",
+                "folds",
+                "seed",
+                "full",
+                "workers",
+                "metrics-out",
+                "fault-plan",
+                "max-retries",
+                "cell-deadline-ms",
+                "wal-dir",
+                "fsync",
+            ],
+        ),
+        "kb" => (cmd_kb, &["wal-dir", "out", "metrics-out"]),
+        "cube" => (
+            cmd_cube,
+            &[
+                "dims",
+                "measures",
+                "shards",
+                "min-support",
+                "max-null-ratio",
+                "metrics-out",
+                "fault-plan",
+                "max-retries",
+            ],
+        ),
+        _ => return None,
+    })
+}
+
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = raw.first().cloned() else {
+    let Some(name) = raw.first().cloned() else {
         return fail("missing command");
     };
-    let args = Args::parse(&raw[1..]);
-    match command.as_str() {
-        "profile" => cmd_profile(&args),
-        "mine" => cmd_mine(&args, false),
-        "advise" => cmd_advise(&args),
-        "experiments" => cmd_experiments(&args),
-        "kb" => cmd_kb(&args),
-        "cube" => cmd_cube(&args),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            ExitCode::SUCCESS
-        }
-        other => fail(&format!("unknown command: {other}")),
+    if matches!(name.as_str(), "help" | "--help" | "-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
     }
+    let Some((run, reads)) = command(&name) else {
+        return fail(&format!("unknown command: {name}"));
+    };
+    let args = Args::parse(&raw[1..]);
+    // A flag the command does not read would be silently ignored.
+    if let Some((flag, _)) = args
+        .flags
+        .iter()
+        .find(|(f, _)| !reads.contains(&f.as_str()))
+    {
+        return refuse(&format!("unknown flag --{flag} for {name}"));
+    }
+    run(&args)
 }
 
 #[cfg(test)]
@@ -1053,22 +1104,13 @@ mod tests {
             super::parse_wal_args(&orphan).is_err(),
             "--fsync needs --wal-dir"
         );
-        let full = parse(&[
-            "--wal-dir",
-            "run/wal",
-            "--fsync",
-            "always",
-            "--checkpoint-every",
-            "64",
-        ]);
+        let full = parse(&["--wal-dir", "run/wal", "--fsync", "always"]);
         let wal = super::parse_wal_args(&full).unwrap().unwrap();
         assert_eq!(wal.dir, "run/wal");
         assert_eq!(wal.fsync, FsyncPolicy::Always);
-        assert_eq!(wal.checkpoint_every, Some(64));
         let defaults = parse(&["--wal-dir", "run/wal"]);
         let wal = super::parse_wal_args(&defaults).unwrap().unwrap();
         assert_eq!(wal.fsync, FsyncPolicy::Batch);
-        assert_eq!(wal.checkpoint_every, None);
         let bad = parse(&["--wal-dir", "w", "--fsync", "sometimes"]);
         assert!(super::parse_wal_args(&bad).is_err());
     }

@@ -195,31 +195,25 @@ fn apply_step(step: &PreprocessingStep, table: &Table, protected: &[&str]) -> Re
                 .map(|c| c.name().to_string())
                 .collect();
             for name in names {
-                let col = out.column(&name)?.clone();
-                // The profile's fences: over the finite cells only.
-                let mut vals: Vec<f64> = col
-                    .to_f64_vec()
-                    .into_iter()
-                    .flatten()
-                    .filter(|x| x.is_finite())
-                    .collect();
-                let Some((lo, hi)) = iqr_fences(&mut vals) else {
+                let col = table.column(&name)?;
+                // The profile's fences, over the present cells; a missing
+                // cell (null, NaN or ±∞) stays as it is.
+                let values = col.numbers();
+                let mut present: Vec<f64> =
+                    values.iter().copied().filter(|x| !x.is_nan()).collect();
+                let Some((lo, hi)) = iqr_fences(&mut present) else {
                     continue;
                 };
                 let is_int = col.dtype() == openbi_table::DataType::Int;
-                for row in 0..col.len() {
-                    if let Some(x) = col.get(row)?.as_f64() {
-                        // A NaN or ±∞ cell is missing to the profile, so
-                        // it stays as it is.
-                        if x.is_finite() && (x < lo || x > hi) {
-                            let clamped = x.clamp(lo, hi);
-                            let v = if is_int {
-                                Value::Int(clamped.round() as i64)
-                            } else {
-                                Value::Float(clamped)
-                            };
-                            out.set(&name, row, v)?;
-                        }
+                for (row, &x) in values.iter().enumerate() {
+                    if !x.is_nan() && (x < lo || x > hi) {
+                        let clamped = x.clamp(lo, hi);
+                        let v = if is_int {
+                            Value::Int(clamped.round() as i64)
+                        } else {
+                            Value::Float(clamped)
+                        };
+                        out.set(&name, row, v)?;
                     }
                 }
             }
@@ -392,9 +386,8 @@ mod tests {
         let max = out
             .column("x")
             .unwrap()
-            .to_f64_vec()
+            .numbers()
             .into_iter()
-            .flatten()
             .fold(f64::NEG_INFINITY, f64::max);
         assert!(max < 30.0, "outlier clamped, max {max}");
     }
@@ -408,6 +401,11 @@ mod tests {
         let clamp = PreprocessingPlan {
             steps: vec![PreprocessingStep::ClampOutliers],
         };
+        // The stored cells, NaN and ±∞ kept.
+        let stored = |t: &Table| match t.column("x").unwrap().data() {
+            openbi_table::ColumnData::Float(x) => x.clone(),
+            other => panic!("x is a float column, got {other:?}"),
+        };
         let t = Table::new(vec![Column::from_f64(
             "x",
             [1.0, 2.0, 3.0, 4.0, 5.0, 100.0, nan, nan, nan],
@@ -418,7 +416,7 @@ mod tests {
         assert!(plan.steps.contains(&PreprocessingStep::ClampOutliers));
         let out = clamp.apply(&t, &[]).unwrap();
         // Quartiles of 1, 2, 3, 4, 5, 100: 2.25 and 4.75, so hi = 8.5.
-        let x = out.column("x").unwrap().to_f64_vec();
+        let x = stored(&out);
         assert_eq!(x[..6], [1.0, 2.0, 3.0, 4.0, 5.0, 8.5].map(Some));
         assert!(x[6..].iter().all(|v| v.is_some_and(f64::is_nan)));
 
@@ -428,8 +426,10 @@ mod tests {
         )])
         .unwrap();
         let out = clamp.apply(&t, &[]).unwrap();
-        let x = out.column("x").unwrap().to_f64_vec();
-        assert_eq!(x, [1.0, 2.0, 3.0, 4.0, 5.0, 8.5, inf, -inf].map(Some));
+        assert_eq!(
+            stored(&out),
+            [1.0, 2.0, 3.0, 4.0, 5.0, 8.5, inf, -inf].map(Some)
+        );
         let completeness = |t: &Table| measure_profile(t, &MeasureOptions::default()).completeness;
         assert_eq!(completeness(&t), 0.75);
         assert_eq!(completeness(&out), 0.75);

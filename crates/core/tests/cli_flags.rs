@@ -1,7 +1,8 @@
-//! Malformed numeric flags, and `experiments` sizes at which every cell
-//! would fail, must stop `openbi-cli` with exit status 2 and a first
-//! stderr line naming the flag — never a silent fallback to the flag's
-//! default. Every case fails during argument validation, before any
+//! A flag a command does not read, malformed numeric flags, and
+//! `experiments` sizes at which every cell would fail must stop
+//! `openbi-cli` with exit status 2 and a first stderr line naming the
+//! flag — never a silent fallback to the flag's default or a run that
+//! ignores it. Every case fails during argument validation, before any
 //! input file is read or any experiment runs.
 //!
 //! The last two tests rerun `experiments` on one `--wal-dir`: each run
@@ -68,17 +69,15 @@ fn experiments_rejects_malformed_numbers() {
     }
     // A numeric flag with its value missing is just as malformed.
     assert_rejected(&experiments, "--seed", None);
-    let durable = ["experiments", "--out", out.as_str(), "--wal-dir", "unused"];
-    assert_rejected(&durable, "--checkpoint-every", Some("often"));
     assert!(
         !std::path::Path::new(&out).exists(),
         "a rejected command must not write its output"
     );
 }
 
-/// Sizes at which every cell would fail, and a checkpoint every 0
-/// records, are refused before anything runs: no `--out`, and no
-/// `--wal-dir` (so no segment and no recorded grid sizes).
+/// Sizes at which every cell would fail are refused before anything
+/// runs: no `--out`, and no `--wal-dir` (so no segment and no recorded
+/// grid sizes).
 #[test]
 fn experiments_rejects_sizes_at_which_every_cell_fails() {
     let dir = std::env::temp_dir().join(format!("openbi-cli-sizes-{}", std::process::id()));
@@ -89,7 +88,6 @@ fn experiments_rejects_sizes_at_which_every_cell_fails() {
         let mut experiments = vec!["experiments", "--out", out.as_str()];
         if durable {
             experiments.extend(["--wal-dir", wal.as_str()]);
-            assert_rejected(&experiments, "--checkpoint-every", Some("0"));
         }
         for (flag, value) in [("--folds", "1"), ("--folds", "0"), ("--rows", "0")] {
             assert_rejected(&experiments, flag, Some(value));
@@ -130,6 +128,41 @@ fn advise_rejects_malformed_tuning() {
     assert_rejected(&advise, "--neighbors", Some("many"));
     assert_rejected(&advise, "--bandwidth", Some("wide"));
     assert_rejected(&advise, "--bandwidth", Some("0"));
+}
+
+/// Every command refuses a misspelled flag with one line naming the flag
+/// and the command, before it reads an input or writes an output:
+/// without the check, `profile --targett` profiled without a target and
+/// `experiments --wokers 1` ran on every core.
+#[test]
+fn every_command_refuses_a_flag_it_does_not_read() {
+    let dir = std::env::temp_dir().join(format!("openbi-cli-unknown-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let (out, wal) = (path("kb.jsonl"), path("wal"));
+    let experiments = ["experiments", "--out", &out, "--rows", "30", "--folds", "2"];
+    // Each command with the flags it needs, and one flag it does not read.
+    let cases: [(&[&str], &str); 7] = [
+        (&["profile", "data.csv"], "--targett"),
+        (&["mine", "data.csv", "--target", "class"], "--slect"),
+        (&["advise", "data.csv", "--kb", "kb.jsonl"], "--neighbours"),
+        (&experiments, "--wokers"),
+        (&experiments, "--checkpoint-every"),
+        (&["kb", "recover", "--wal-dir", &wal], "--outt"),
+        (&["cube", "data.csv", "--dims", "district"], "--shard"),
+    ];
+    for (command, flag) in cases {
+        let mut args = command.to_vec();
+        args.extend([flag, "1"]);
+        let (code, stderr) = run(&args);
+        assert_eq!(code, Some(2), "{args:?} must exit 2, stderr: {stderr}");
+        assert_eq!(
+            stderr,
+            format!("error: unknown flag {flag} for {}\n", command[0]),
+            "{args:?}"
+        );
+    }
+    assert!(!dir.exists(), "a refused command must write nothing");
 }
 
 /// Run `args` to success and return its stdout and stderr.

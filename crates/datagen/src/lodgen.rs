@@ -186,13 +186,13 @@ mod tests {
             ..Default::default()
         });
         let t = tabularize(&g, &high_dim_class(), &TabularizeOptions::default()).unwrap();
-        let info = t.column("info0").unwrap().to_f64_vec();
+        let info = t.column("info0").unwrap().numbers();
         let cat = t.column("category").unwrap();
         let mut m = [0.0f64; 2];
         let mut c = [0usize; 2];
         for (i, v) in info.iter().enumerate() {
             let idx = usize::from(cat.get(i).unwrap().to_string() == "k1");
-            m[idx] += v.unwrap();
+            m[idx] += v;
             c[idx] += 1;
         }
         let (m0, m1) = (m[0] / c[0] as f64, m[1] / c[1] as f64);

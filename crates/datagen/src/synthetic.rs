@@ -217,14 +217,14 @@ mod tests {
         });
         // Compute per-class mean of f1; they must differ by much more
         // than the within-class std.
-        let f1 = t.column("f1").unwrap().to_f64_vec();
+        let f1 = t.column("f1").unwrap().numbers();
         let cls = t.column("class").unwrap();
         let mut by_class: std::collections::HashMap<String, Vec<f64>> = Default::default();
         for (i, v) in f1.iter().enumerate() {
             by_class
                 .entry(cls.get(i).unwrap().to_string())
                 .or_default()
-                .push(v.unwrap());
+                .push(*v);
         }
         let means: Vec<f64> = by_class
             .values()

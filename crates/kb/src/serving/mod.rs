@@ -5,8 +5,8 @@
 //!   writes and the advisor reads. The current [`KnowledgeBase`] is an
 //!   immutable `Arc` snapshot with a **generation number**, held in an
 //!   `RwLock`. One writer mutex holds everything a publisher changes —
-//!   the pending records, the `kb.publish` attempt counter, the
-//!   optional write-ahead log and checkpoint pacing. `add_batch` and
+//!   the pending records, the `kb.publish` attempt counter and the
+//!   optional write-ahead log. `add_batch` and
 //!   `flush` take it, build the next snapshot (clone + append) and swap
 //!   it in under the write lock; readers clone the `Arc` under the read
 //!   lock, so they wait at most for one pointer-sized swap and never
@@ -142,17 +142,16 @@ impl PublishMetrics {
 
 /// Configuration for a crash-durable serving store
 /// ([`SnapshotKnowledgeBase::open_durable`]) and its write-ahead log
-/// ([`WalWriter::open`]): where the log lives, how eagerly it syncs,
-/// and when it checkpoints.
+/// ([`WalWriter::open`]): where the log lives and how eagerly it syncs.
+/// The log is checkpointed by an explicit
+/// [`SnapshotKnowledgeBase::checkpoint`] call.
 ///
 /// # Examples
 ///
 /// ```no_run
 /// use openbi_kb::{DurableOptions, FsyncPolicy, SnapshotKnowledgeBase};
 ///
-/// let options = DurableOptions::new("run/wal")
-///     .fsync(FsyncPolicy::Always)
-///     .checkpoint_every(10_000);
+/// let options = DurableOptions::new("run/wal").fsync(FsyncPolicy::Always);
 /// let (store, recovery) = SnapshotKnowledgeBase::open_durable(options).unwrap();
 /// println!("recovered {} frames", recovery.frames_replayed);
 /// # drop(store);
@@ -162,19 +161,17 @@ pub struct DurableOptions {
     pub(crate) wal_dir: std::path::PathBuf,
     pub(crate) segment_bytes: u64,
     pub(crate) fsync: FsyncPolicy,
-    checkpoint_every: Option<u64>,
     pub(crate) fault_plan: Option<Arc<openbi_faults::FaultPlan>>,
 }
 
 impl DurableOptions {
     /// Durability rooted at `wal_dir`, with the default segment size and
-    /// fsync policy, and no automatic checkpoints.
+    /// fsync policy.
     pub fn new(wal_dir: impl Into<std::path::PathBuf>) -> DurableOptions {
         DurableOptions {
             wal_dir: wal_dir.into(),
             segment_bytes: DEFAULT_SEGMENT_BYTES,
             fsync: FsyncPolicy::default(),
-            checkpoint_every: None,
             fault_plan: None,
         }
     }
@@ -192,14 +189,6 @@ impl DurableOptions {
         self
     }
 
-    /// Checkpoint-and-compact automatically after every `records`
-    /// published records (`None`/default: only on explicit
-    /// [`SnapshotKnowledgeBase::checkpoint`] calls).
-    pub fn checkpoint_every(mut self, records: u64) -> DurableOptions {
-        self.checkpoint_every = Some(records.max(1));
-        self
-    }
-
     /// One explicit fault plan for both the `kb.publish` point and the
     /// `kb.wal.*` points (tests; production uses the global slot).
     pub fn fault_plan(mut self, plan: Arc<openbi_faults::FaultPlan>) -> DurableOptions {
@@ -209,13 +198,10 @@ impl DurableOptions {
 }
 
 /// The durability side-car of a [`SnapshotKnowledgeBase`]: the log
-/// writer plus checkpoint pacing and degradation counters.
+/// writer and the count of batches it refused.
 struct DurableState {
     wal: WalWriter,
-    checkpoint_every: Option<u64>,
-    records_since_checkpoint: u64,
     wal_failures: u64,
-    checkpoint_failures: u64,
 }
 
 /// Everything a publisher changes, behind the store's one writer lock.
@@ -314,16 +300,13 @@ impl SnapshotKnowledgeBase {
             Some(plan) => crate::wal::recover::recover_with(&options.wal_dir, Some(plan))?,
             None => crate::wal::recover(&options.wal_dir)?,
         };
-        let (checkpoint_every, plan) = (options.checkpoint_every, options.fault_plan.clone());
+        let plan = options.fault_plan.clone();
         let wal = WalWriter::open(options)?;
         let mut store = SnapshotKnowledgeBase::new(kb);
         store.fault_plan = plan;
         store.lock_writer().durable = Some(DurableState {
             wal,
-            checkpoint_every,
-            records_since_checkpoint: 0,
             wal_failures: 0,
-            checkpoint_failures: 0,
         });
         Ok((store, report))
     }
@@ -422,9 +405,7 @@ impl SnapshotKnowledgeBase {
         let Some(durable) = &mut writer.durable else {
             return Ok(None);
         };
-        let report = durable.wal.checkpoint(&self.pin())?;
-        durable.records_since_checkpoint = 0;
-        Ok(Some(report))
+        Ok(Some(durable.wal.checkpoint(&self.pin())?))
     }
 
     /// Whether this store write-ahead logs its publishes.
@@ -439,21 +420,6 @@ impl SnapshotKnowledgeBase {
             .durable
             .as_ref()
             .map_or(0, |d| d.wal_failures)
-    }
-
-    /// Automatic checkpoint passes that failed (the log keeps
-    /// growing; durability itself is not affected).
-    pub fn checkpoint_failures(&self) -> u64 {
-        self.lock_writer()
-            .durable
-            .as_ref()
-            .map_or(0, |d| d.checkpoint_failures)
-    }
-
-    /// True once any WAL append or automatic checkpoint has failed —
-    /// the run is degraded and its report should say so.
-    pub fn durability_degraded(&self) -> bool {
-        self.wal_failures() > 0 || self.checkpoint_failures() > 0
     }
 
     /// Take the writer lock. A panic at the `kb.publish` point poisons
@@ -503,9 +469,6 @@ impl SnapshotKnowledgeBase {
             m.batch_records.record(records as f64);
             m.seconds.record(start.elapsed().as_secs_f64());
         }
-        if let Some(durable) = &mut writer.durable {
-            self.maybe_auto_checkpoint(durable, records as u64);
-        }
         Ok(())
     }
 
@@ -536,25 +499,6 @@ impl SnapshotKnowledgeBase {
             }
         }
         Ok(())
-    }
-
-    /// Checkpoint-and-compact once enough records have been published
-    /// since the last pass. Runs under the writer lock, so the snapshot
-    /// it folds is exactly the serving one. A failure is counted, not
-    /// surfaced: the log still holds every record, so durability is
-    /// intact — only compaction lags.
-    fn maybe_auto_checkpoint(&self, durable: &mut DurableState, published: u64) {
-        let Some(every) = durable.checkpoint_every else {
-            return;
-        };
-        durable.records_since_checkpoint += published;
-        if durable.records_since_checkpoint < every {
-            return;
-        }
-        durable.records_since_checkpoint = 0;
-        if durable.wal.checkpoint(&self.pin()).is_err() {
-            durable.checkpoint_failures += 1;
-        }
     }
 }
 
@@ -962,7 +906,6 @@ mod tests {
         let err = store.flush();
         assert!(matches!(err, Err(KbError::Publish(_))), "{err:?}");
         assert_eq!(store.wal_failures(), 1);
-        assert!(store.durability_degraded());
         assert_eq!(store.generation(), 0, "nothing was served");
         assert_eq!(store.pending_len(), 1, "the batch is preserved");
         // The injected fault was times=1: the retry lands.
@@ -1014,29 +957,6 @@ mod tests {
     }
 
     #[test]
-    fn automatic_checkpoints_compact_while_serving() {
-        let dir = durable_dir("auto-checkpoint");
-        let (store, _) =
-            SnapshotKnowledgeBase::open_durable(DurableOptions::new(&dir).checkpoint_every(4))
-                .unwrap();
-        for i in 0..10 {
-            store.add(record(&format!("d{i}"), "a", 0.5));
-        }
-        store.flush().unwrap();
-        assert_eq!(store.checkpoint_failures(), 0);
-        assert!(!store.durability_degraded());
-        drop(store);
-        let (kb, recovery) = crate::wal::recover(&dir).unwrap();
-        assert_eq!(kb.len(), 10);
-        assert!(
-            recovery.checkpoint_watermark.is_some(),
-            "at least one automatic checkpoint ran: {recovery:?}"
-        );
-        assert!(recovery.checkpoint_records >= 4, "{recovery:?}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn explicit_checkpoint_flushes_then_compacts() {
         let dir = durable_dir("explicit-checkpoint");
         let (store, _) = SnapshotKnowledgeBase::open_durable(DurableOptions::new(&dir)).unwrap();
@@ -1060,6 +980,5 @@ mod tests {
         assert!(!store.is_durable());
         assert_eq!(store.checkpoint().unwrap(), None);
         assert_eq!(store.wal_failures(), 0);
-        assert!(!store.durability_degraded());
     }
 }

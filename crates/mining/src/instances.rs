@@ -5,12 +5,15 @@
 //!
 //! Storage is columnar struct-of-arrays: each attribute is one
 //! contiguous `Vec<f64>`, and a NaN in a value slot is the one missing
-//! marker. A non-finite numeric cell (NaN or ±∞) is stored as missing,
-//! so a table with such cells trains and predicts exactly like the same
-//! table with those cells null. Numeric attributes hold their value;
-//! nominal attributes hold a category index (as `f64` so one column type
-//! serves both). Classifiers must tolerate missing cells, since the
-//! quality experiments inject missingness on purpose.
+//! marker. A numeric cell is read through
+//! [`Column::numbers`](openbi_table::Column::numbers), so a NaN or ±∞
+//! cell is stored as missing and a table with such cells trains and
+//! predicts exactly like the same table with those cells null. A cell
+//! handed to [`Instances::from_rows`] follows the same rule. Numeric
+//! attributes hold their value; nominal attributes hold a category index
+//! (as `f64` so one column type serves both). Classifiers must tolerate
+//! missing cells, since the quality experiments inject missingness on
+//! purpose.
 //!
 //! Per-attribute statistics ([`InstancesView::numeric_ranges`],
 //! [`InstancesView::numeric_means`]) are computed over a view's rows in
@@ -21,7 +24,7 @@
 //! copies per fold.
 
 use crate::error::{MiningError, Result};
-use openbi_table::{DataType, Table};
+use openbi_table::{Column, DataType, Table};
 use std::borrow::Cow;
 
 /// The kind of a mining attribute.
@@ -50,12 +53,6 @@ pub struct Attribute {
     pub name: String,
     /// Attribute kind.
     pub kind: AttrKind,
-}
-
-/// The value slot of a cell: a missing or non-finite cell is NaN.
-#[inline]
-fn slot(cell: Option<f64>) -> f64 {
-    cell.filter(|v| v.is_finite()).unwrap_or(f64::NAN)
 }
 
 /// A value slot read back as a cell (NaN = missing).
@@ -117,23 +114,21 @@ impl Instances {
             if exclude.contains(&col.name()) || Some(col.name()) == target {
                 continue;
             }
-            let (kind, data): (AttrKind, Vec<Option<f64>>) = match col.dtype() {
-                DataType::Int | DataType::Float => (AttrKind::Numeric, col.to_f64_vec()),
+            let (kind, data) = match col.dtype() {
+                DataType::Int | DataType::Float => (AttrKind::Numeric, col.numbers()),
                 DataType::Bool => (
                     AttrKind::Nominal(vec!["false".into(), "true".into()]),
-                    col.iter()
-                        .map(|v| v.as_bool().map(|b| if b { 1.0 } else { 0.0 }))
-                        .collect(),
+                    col.numbers(),
                 ),
                 DataType::Str => {
                     let cats = col.categories();
                     let data = (0..col.len())
-                        .map(|r| cats.code(r).map(|c| c as f64))
+                        .map(|r| cats.code(r).map_or(f64::NAN, |c| c as f64))
                         .collect();
                     (AttrKind::Nominal(cats.texts()), data)
                 }
             };
-            columns.push(data.into_iter().map(slot).collect());
+            columns.push(data);
             attributes.push(Attribute {
                 name: col.name().to_string(),
                 kind,
@@ -179,8 +174,10 @@ impl Instances {
                 "every row must have one cell per attribute"
             );
         }
-        let columns = (0..attributes.len())
-            .map(|a| rows.iter().map(|r| slot(r[a])).collect())
+        let columns = attributes
+            .iter()
+            .enumerate()
+            .map(|(a, attr)| Column::from_opt_f64(&attr.name, rows.iter().map(|r| r[a])).numbers())
             .collect();
         Instances {
             attributes,

@@ -14,7 +14,8 @@ pub enum BinStrategy {
 }
 
 /// Replace a numeric column with a string column of bin labels
-/// `"{name}=[lo,hi)"`. Nulls stay null.
+/// `"{name}=b{i}"`. Cells are read through `Column::numbers`: a null,
+/// NaN or ±∞ cell is missing, moves no cut point and gets a null label.
 pub fn discretize_column(
     table: &Table,
     name: &str,
@@ -32,16 +33,16 @@ pub fn discretize_column(
             "column {name} is not numeric"
         )));
     }
-    let values = col.to_f64_vec();
-    let mut non_null: Vec<f64> = values.iter().flatten().copied().collect();
-    if non_null.is_empty() {
+    let values = col.numbers();
+    let mut present: Vec<f64> = values.iter().copied().filter(|x| !x.is_nan()).collect();
+    if present.is_empty() {
         return Err(MiningError::InvalidDataset(format!(
             "column {name} has no numeric values"
         )));
     }
-    non_null.sort_by(f64::total_cmp);
-    let lo = non_null[0];
-    let hi = non_null[non_null.len() - 1];
+    present.sort_by(f64::total_cmp);
+    let lo = present[0];
+    let hi = present[present.len() - 1];
     // Cut points between bins (ascending, len = bins - 1).
     let cuts: Vec<f64> = match strategy {
         BinStrategy::EqualWidth => {
@@ -49,13 +50,13 @@ pub fn discretize_column(
             (1..bins).map(|i| lo + width * i as f64).collect()
         }
         BinStrategy::EqualFrequency => (1..bins)
-            .map(|i| stats::quantile_sorted(&non_null, i as f64 / bins as f64))
+            .map(|i| stats::quantile_sorted(&present, i as f64 / bins as f64))
             .collect(),
     };
     let bin_of = |x: f64| -> usize { cuts.iter().filter(|&&c| x >= c).count() };
     let labels: Vec<Option<String>> = values
-        .iter()
-        .map(|v| v.map(|x| format!("{name}=b{}", bin_of(x) + 1)))
+        .into_iter()
+        .map(|x| (!x.is_nan()).then(|| format!("{name}=b{}", bin_of(x) + 1)))
         .collect();
     let mut out = table.clone();
     out.replace_column(Column::from_opt_str(name.to_string(), labels))?;

@@ -2,29 +2,14 @@
 //! (Troyanskaya et al. \[16\], the paper's reference for missing-value
 //! estimation).
 //!
-//! A NaN or ±∞ numeric cell is missing here, as it is to the mining and
-//! quality kernels: it never enters a mean, a min-max range or a k-NN
-//! distance, and it is filled like a null, so a table with such cells
-//! imputes exactly like the same table with those cells null.
+//! Numeric cells are read through `Column::numbers`, so a NaN or ±∞
+//! cell is missing here, as it is to the mining and quality kernels: it
+//! never enters a mean, a min-max range or a k-NN distance, and it is
+//! filled like a null, so a table with such cells imputes exactly like
+//! the same table with those cells null.
 
 use crate::error::Result;
 use openbi_table::{stats, Column, DataType, Table, Value};
-
-/// A numeric column's cells with every NaN or ±∞ cell read as missing.
-fn finite_cells(col: &Column) -> Vec<Option<f64>> {
-    col.to_f64_vec()
-        .into_iter()
-        .map(|x| x.filter(|v| v.is_finite()))
-        .collect()
-}
-
-/// The mean of the present cells, summed in row order (the additions
-/// `stats::mean` makes over a column's non-null cells).
-fn mean_of(cells: &[Option<f64>]) -> Option<f64> {
-    let present = cells.iter().flatten();
-    let n = present.clone().count();
-    (n > 0).then(|| present.sum::<f64>() / n as f64)
-}
 
 /// The cell that fills a missing slot of `col` with `value`: rounded in
 /// an integer column.
@@ -47,9 +32,8 @@ pub fn impute_mean_mode(table: &Table, exclude: &[&str]) -> Result<Table> {
         }
         let name = col.name().to_string();
         if col.dtype().is_numeric() {
-            let cells = finite_cells(col);
-            if let Some(mean) = mean_of(&cells) {
-                for (row, _) in cells.iter().enumerate().filter(|(_, c)| c.is_none()) {
+            if let Some(mean) = stats::mean(col) {
+                for (row, _) in col.numbers().iter().enumerate().filter(|(_, x)| x.is_nan()) {
                     out.set(&name, row, numeric_fill(col, mean))?;
                 }
             }
@@ -79,48 +63,41 @@ pub fn impute_mean_mode(table: &Table, exclude: &[&str]) -> Result<Table> {
 /// both rows). Non-numeric columns fall back to mode imputation.
 /// Quadratic; intended for datasets in the experiment-size range.
 ///
-/// The normalized feature matrix is one flat row-major `Vec<f64>` with a
-/// parallel presence mask (no per-row allocations), and neighbor
-/// selection partitions the k nearest with `select_nth_unstable_by`
-/// using a `(distance, row)` tie-break — the same k rows, in the same
-/// order, as the old full sort.
+/// The normalized feature matrix is one flat row-major `Vec<f64>` with
+/// NaN at missing cells (no per-row allocations), and neighbor selection
+/// partitions the k nearest with `select_nth_unstable_by` using a
+/// `(distance, row)` tie-break — the same k rows, in the same order, as
+/// the old full sort.
 pub fn impute_knn(table: &Table, k: usize, exclude: &[&str]) -> Result<Table> {
     let numeric: Vec<&Column> = table
         .columns()
         .iter()
         .filter(|c| c.dtype().is_numeric() && !exclude.contains(&c.name()))
         .collect();
-    let cells: Vec<Vec<Option<f64>>> = numeric.iter().map(|col| finite_cells(col)).collect();
+    let cells: Vec<Vec<f64>> = numeric.iter().map(|col| col.numbers()).collect();
     let n = table.n_rows();
     let d = numeric.len();
-    // Flat row-major normalized matrix + presence mask.
-    let mut values = vec![0.0f64; n * d];
-    let mut present = vec![false; n * d];
+    // Flat row-major normalized matrix, NaN where a cell is missing.
+    let mut values = vec![f64::NAN; n * d];
     for (ci, raw) in cells.iter().enumerate() {
-        let vals: Vec<f64> = raw.iter().flatten().copied().collect();
-        let (lo, hi) = if vals.is_empty() {
-            (0.0, 1.0)
-        } else {
-            (
-                vals.iter().cloned().fold(f64::INFINITY, f64::min),
-                vals.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
-            )
-        };
+        // A column with no present cell keeps (∞, −∞) and only NaN cells.
+        let (lo, hi) = raw
+            .iter()
+            .filter(|x| !x.is_nan())
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &x| {
+                (lo.min(x), hi.max(x))
+            });
         let span = if hi > lo { hi - lo } else { 1.0 };
-        for (r, v) in raw.iter().enumerate() {
-            if let Some(x) = v {
-                values[r * d + ci] = (x - lo) / span;
-                present[r * d + ci] = true;
-            }
+        for (r, &x) in raw.iter().enumerate() {
+            values[r * d + ci] = (x - lo) / span;
         }
     }
     let distance = |a: usize, b: usize| -> Option<f64> {
-        let (va, pa) = (&values[a * d..(a + 1) * d], &present[a * d..(a + 1) * d]);
-        let (vb, pb) = (&values[b * d..(b + 1) * d], &present[b * d..(b + 1) * d]);
+        let (va, vb) = (&values[a * d..(a + 1) * d], &values[b * d..(b + 1) * d]);
         let mut sum = 0.0;
         let mut dims = 0usize;
         for i in 0..d {
-            if pa[i] && pb[i] {
+            if !va[i].is_nan() && !vb[i].is_nan() {
                 sum += (va[i] - vb[i]) * (va[i] - vb[i]);
                 dims += 1;
             }
@@ -131,18 +108,15 @@ pub fn impute_knn(table: &Table, k: usize, exclude: &[&str]) -> Result<Table> {
     let mut out = table.clone();
     for (col, raw) in numeric.iter().zip(&cells) {
         let name = col.name().to_string();
+        let mean = stats::mean(col);
         for row in 0..n {
-            if raw[row].is_some() {
+            if !raw[row].is_nan() {
                 continue;
             }
             // Neighbors with a value in this attribute.
             let mut candidates: Vec<(f64, usize, f64)> = (0..n)
-                .filter(|&j| j != row)
-                .filter_map(|j| {
-                    let v = raw[j]?;
-                    let dist = distance(row, j)?;
-                    Some((dist, j, v))
-                })
+                .filter(|&j| j != row && !raw[j].is_nan())
+                .filter_map(|j| Some((distance(row, j)?, j, raw[j])))
                 .collect();
             // (distance, row index) is a total order, so partition + sort
             // of the front yields exactly the old stable full sort's
@@ -157,7 +131,7 @@ pub fn impute_knn(table: &Table, k: usize, exclude: &[&str]) -> Result<Table> {
             candidates[..kk].sort_unstable_by(order);
             let neighbors = &candidates[..kk];
             let fill = if neighbors.is_empty() {
-                mean_of(raw)
+                mean
             } else {
                 Some(neighbors.iter().map(|(_, _, v)| *v).sum::<f64>() / neighbors.len() as f64)
             };
@@ -269,8 +243,8 @@ mod tests {
         for impute in imputers {
             let (got, want) = (impute(&odd), impute(&twin));
             assert_eq!(got.fingerprint(), want.fingerprint());
-            let x = got.column("x").unwrap().to_f64_vec();
-            assert!(x.iter().all(|v| v.is_some_and(f64::is_finite)), "{x:?}");
+            let x = got.column("x").unwrap().numbers();
+            assert!(x.iter().all(|v| !v.is_nan()), "{x:?}");
         }
     }
 

@@ -92,8 +92,9 @@ fn split(pairs: &[(f64, usize)], n_classes: usize, cuts: &mut Vec<f64>, depth: u
 
 /// Compute the MDL-accepted cut points of one numeric column against a
 /// class column. Returns cuts in ascending order (possibly empty: the
-/// attribute carries no MDL-justified signal). A NaN or ±∞ cell is
-/// missing, as in [`Instances`](crate::Instances): its row is skipped.
+/// attribute carries no MDL-justified signal). Cells are read through
+/// `Column::numbers`, so a NaN or ±∞ cell is missing, as in
+/// [`Instances`](crate::Instances): its row is skipped.
 pub fn mdl_cut_points(table: &Table, column: &str, target: &str) -> Result<Vec<f64>> {
     let col = table.column(column)?;
     if !col.dtype().is_numeric() {
@@ -102,14 +103,13 @@ pub fn mdl_cut_points(table: &Table, column: &str, target: &str) -> Result<Vec<f
         )));
     }
     let cats = table.column(target)?.categories();
-    // Class ids in first-seen order over the rows with a finite value, so
-    // the entropy terms keep their summation order.
+    // Class ids in first-seen order over the rows with a present value,
+    // so the entropy terms keep their summation order.
     let mut ids: Vec<Option<usize>> = vec![None; cats.len()];
     let mut n_classes = 0;
     let mut pairs: Vec<(f64, usize)> = Vec::new();
-    for i in 0..table.n_rows() {
-        let v = col.get(i)?.as_f64().filter(|v| v.is_finite());
-        let (Some(v), Some(code)) = (v, cats.code(i)) else {
+    for (i, v) in col.numbers().into_iter().enumerate() {
+        let Some(code) = cats.code(i).filter(|_| !v.is_nan()) else {
             continue;
         };
         let id = *ids[code].get_or_insert_with(|| {
@@ -138,10 +138,10 @@ pub fn mdl_discretize_column(table: &Table, column: &str, target: &str) -> Resul
     let cuts = mdl_cut_points(table, column, target)?;
     let col = table.column(column)?;
     let labels: Vec<Option<String>> = col
-        .to_f64_vec()
-        .iter()
-        .map(|v| {
-            v.filter(|x| x.is_finite()).map(|x| {
+        .numbers()
+        .into_iter()
+        .map(|x| {
+            (!x.is_nan()).then(|| {
                 let bin = cuts.iter().filter(|&&c| x >= c).count();
                 format!("{column}=b{}", bin + 1)
             })
@@ -241,7 +241,13 @@ mod tests {
     #[test]
     fn non_finite_cells_cut_and_label_like_nulls() {
         let base = three_region_table();
-        let xs = base.column("x").unwrap().to_f64_vec();
+        let xs: Vec<Option<f64>> = base
+            .column("x")
+            .unwrap()
+            .numbers()
+            .into_iter()
+            .map(Some)
+            .collect();
         let rows = Rng::seed_from_u64(2012).sample_indices(xs.len(), 18);
         let (mut non_finite, mut null) = (xs.clone(), xs);
         for (n, &r) in rows.iter().enumerate() {

@@ -1,27 +1,45 @@
 //! Numeric normalization: min-max scaling and z-scoring of table
 //! columns.
+//!
+//! Cells are read through `Column::numbers`: a null, NaN or ±∞ cell is
+//! missing, enters no range, mean or deviation, and comes out null.
 
 use crate::error::Result;
 use openbi_table::{stats, Column, Table};
 
+/// Replace column `name` of `out` with `scale` of each present cell of
+/// `col`; a missing cell comes out null.
+fn replace_scaled(
+    out: &mut Table,
+    name: &str,
+    col: &Column,
+    scale: impl Fn(f64) -> f64,
+) -> Result<()> {
+    let scaled = col
+        .numbers()
+        .into_iter()
+        .map(|x| (!x.is_nan()).then(|| scale(x)));
+    out.replace_column(Column::from_opt_f64(name.to_string(), scaled))?;
+    Ok(())
+}
+
 /// Min-max scale the named numeric columns into `[0,1]` (constant
-/// columns map to 0.5). Nulls stay null.
+/// columns map to 0.5).
 pub fn min_max_scale(table: &Table, columns: &[&str]) -> Result<Table> {
     let mut out = table.clone();
     for name in columns {
         let col = table.column(name)?;
-        let values = col.to_f64_vec();
-        let non_null: Vec<f64> = values.iter().flatten().copied().collect();
-        if non_null.is_empty() {
+        let Ok(summary) = stats::summarize(col) else {
             continue;
-        }
-        let lo = non_null.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = non_null.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let scaled: Vec<Option<f64>> = values
-            .iter()
-            .map(|v| v.map(|x| if hi > lo { (x - lo) / (hi - lo) } else { 0.5 }))
-            .collect();
-        out.replace_column(Column::from_opt_f64(name.to_string(), scaled))?;
+        };
+        let (lo, hi) = (summary.min, summary.max);
+        replace_scaled(&mut out, name, col, |x| {
+            if hi > lo {
+                (x - lo) / (hi - lo)
+            } else {
+                0.5
+            }
+        })?;
     }
     Ok(out)
 }
@@ -35,12 +53,13 @@ pub fn z_score(table: &Table, columns: &[&str]) -> Result<Table> {
             continue;
         };
         let std = stats::std_dev(col).unwrap_or(0.0);
-        let scaled: Vec<Option<f64>> = col
-            .to_f64_vec()
-            .iter()
-            .map(|v| v.map(|x| if std > 0.0 { (x - mean) / std } else { 0.0 }))
-            .collect();
-        out.replace_column(Column::from_opt_f64(name.to_string(), scaled))?;
+        replace_scaled(&mut out, name, col, |x| {
+            if std > 0.0 {
+                (x - mean) / std
+            } else {
+                0.0
+            }
+        })?;
     }
     Ok(out)
 }
@@ -85,13 +104,7 @@ mod tests {
     #[test]
     fn z_score_standardizes() {
         let out = z_score(&table(), &["x"]).unwrap();
-        let vals: Vec<f64> = out
-            .column("x")
-            .unwrap()
-            .to_f64_vec()
-            .into_iter()
-            .flatten()
-            .collect();
+        let vals = out.column("x").unwrap().numbers();
         let mean = vals.iter().sum::<f64>() / 3.0;
         assert!(mean.abs() < 1e-12);
         assert!((vals[2] - 1.0).abs() < 1e-12);

@@ -5,8 +5,13 @@
 //!
 //! The measurement side lives in [`crate::measure::duplicates`]; this
 //! module actually repairs the data.
+//!
+//! Numeric and boolean cells are read through `Column::numbers`, so a
+//! NaN or ±∞ cell is missing: it sets no column range, is skipped by the
+//! row distance like a null, enters no survivor mean and blocks with the
+//! nulls.
 
-use openbi_table::{stats, Result, Table, TableError, Value};
+use openbi_table::{stats, ColumnData, Result, Table, TableError, Value};
 use std::collections::HashMap;
 
 /// Configuration for record linkage.
@@ -98,29 +103,37 @@ pub fn string_similarity(a: &str, b: &str) -> f64 {
     2.0 * overlap as f64 / (ba.len() + bb.len()) as f64
 }
 
+/// One compared column's cells: strings, or numbers (NaN where missing)
+/// with the range of a numeric column's present cells.
+enum Compared<'a> {
+    Str(&'a [Option<String>]),
+    Numbers {
+        values: Vec<f64>,
+        range: Option<(f64, f64)>,
+    },
+}
+
 /// Normalized distance between two rows over the compared columns:
-/// numeric = range-normalized difference, strings = 1 − similarity.
-/// Columns where either side is null are skipped (a missing field is
+/// numeric = range-normalized difference, strings = 1 − similarity,
+/// booleans = inequality.
+/// Columns where either side is missing are skipped (a missing field is
 /// no evidence against a match — standard record-linkage practice);
 /// rows sharing no observed column are maximally distant.
-fn row_distance(
-    table: &Table,
-    compared: &[usize],
-    ranges: &HashMap<usize, (f64, f64)>,
-    a: usize,
-    b: usize,
-) -> f64 {
+fn row_distance(compared: &[Compared<'_>], a: usize, b: usize) -> f64 {
     let mut total = 0.0;
     let mut shared = 0usize;
-    for &ci in compared {
-        let col = table.column_at(ci).expect("validated index");
-        let va = col.get(a).expect("in-bounds");
-        let vb = col.get(b).expect("in-bounds");
-        let d = match (&va, &vb) {
-            (Value::Null, _) | (_, Value::Null) => continue,
-            (Value::Str(x), Value::Str(y)) => 1.0 - string_similarity(x, y),
-            _ => match (va.as_f64(), vb.as_f64()) {
-                (Some(x), Some(y)) => match ranges.get(&ci) {
+    for column in compared {
+        let d = match column {
+            Compared::Str(v) => match (&v[a], &v[b]) {
+                (Some(x), Some(y)) => 1.0 - string_similarity(x, y),
+                _ => continue,
+            },
+            Compared::Numbers { values, range } => {
+                let (x, y) = (values[a], values[b]);
+                if x.is_nan() || y.is_nan() {
+                    continue;
+                }
+                match *range {
                     Some((lo, hi)) if hi > lo => ((x - y).abs() / (hi - lo)).min(1.0),
                     _ => {
                         if x == y {
@@ -129,15 +142,8 @@ fn row_distance(
                             1.0
                         }
                     }
-                },
-                _ => {
-                    if va == vb {
-                        0.0
-                    } else {
-                        1.0
-                    }
                 }
-            },
+            }
         };
         total += d;
         shared += 1;
@@ -159,34 +165,35 @@ pub fn find_duplicate_clusters(table: &Table, config: &LinkageConfig) -> Result<
     }
     let n = table.n_rows();
     // Columns compared: everything except ignored and the blocking key.
-    let compared: Vec<usize> = table
-        .column_names()
+    let compared: Vec<Compared<'_>> = table
+        .columns()
         .iter()
-        .enumerate()
-        .filter(|(_, name)| {
-            !config.ignore.iter().any(|c| c == *name)
-                && config.blocking_column.as_deref() != Some(*name)
+        .filter(|c| {
+            !config.ignore.iter().any(|i| i == c.name())
+                && config.blocking_column.as_deref() != Some(c.name())
         })
-        .map(|(i, _)| i)
+        .map(|c| match c.data() {
+            ColumnData::Str(v) => Compared::Str(v),
+            _ => Compared::Numbers {
+                values: c.numbers(),
+                range: c
+                    .dtype()
+                    .is_numeric()
+                    .then(|| stats::summarize(c).ok().map(|s| (s.min, s.max)))
+                    .flatten(),
+            },
+        })
         .collect();
-    let mut ranges: HashMap<usize, (f64, f64)> = HashMap::new();
-    for &ci in &compared {
-        let col = table.column_at(ci).expect("validated index");
-        if !col.dtype().is_numeric() {
-            continue;
-        }
-        if let Ok(summary) = stats::summarize(col) {
-            ranges.insert(ci, (summary.min, summary.max));
-        }
-    }
     // Blocking.
     let mut blocks: HashMap<String, Vec<usize>> = HashMap::new();
     match &config.blocking_column {
         Some(bc) => {
             let col = table.column(bc)?;
+            let numbers = col.dtype().is_numeric().then(|| col.numbers());
+            let missing = |i: usize| numbers.as_ref().is_some_and(|x| x[i].is_nan());
             for i in 0..n {
                 let key = match col.get(i)? {
-                    Value::Null => "\u{0}null".to_string(),
+                    v if v.is_null() || missing(i) => "\u{0}null".to_string(),
                     Value::Str(s) => s.trim().to_lowercase(),
                     v => v.to_string(),
                 };
@@ -201,7 +208,7 @@ pub fn find_duplicate_clusters(table: &Table, config: &LinkageConfig) -> Result<
     for rows in blocks.values() {
         for i in 1..rows.len() {
             for j in 0..i {
-                if row_distance(table, &compared, &ranges, rows[i], rows[j]) <= config.threshold {
+                if row_distance(&compared, rows[i], rows[j]) <= config.threshold {
                     uf.union(rows[i], rows[j]);
                 }
             }
@@ -217,23 +224,29 @@ pub fn find_duplicate_clusters(table: &Table, config: &LinkageConfig) -> Result<
 }
 
 /// Survivorship: merge each duplicate cluster into one record — numeric
-/// columns take the mean, strings take the most common (first on tie)
-/// non-null value — and return the deduplicated table (survivors replace
+/// columns take the mean of the present cells (null if none), strings
+/// and booleans take the most common (first on tie) non-null value — and return the deduplicated table (survivors replace
 /// the cluster's first row; other members are dropped; row order kept).
 pub fn merge_duplicates(table: &Table, config: &LinkageConfig) -> Result<(Table, usize)> {
     let clusters = find_duplicate_clusters(table, config)?;
     let mut out = table.clone();
     let mut drop = vec![false; table.n_rows()];
+    let numbers: Vec<Option<Vec<f64>>> = table
+        .columns()
+        .iter()
+        .map(|c| c.dtype().is_numeric().then(|| c.numbers()))
+        .collect();
     for cluster in &clusters {
         let survivor = cluster[0];
         for &member in &cluster[1..] {
             drop[member] = true;
         }
-        for col in table.columns() {
-            let merged: Value = if col.dtype().is_numeric() {
+        for (col, numbers) in table.columns().iter().zip(&numbers) {
+            let merged: Value = if let Some(numbers) = numbers {
                 let vals: Vec<f64> = cluster
                     .iter()
-                    .filter_map(|&i| col.get(i).expect("in-bounds").as_f64())
+                    .map(|&i| numbers[i])
+                    .filter(|x| !x.is_nan())
                     .collect();
                 if vals.is_empty() {
                     Value::Null

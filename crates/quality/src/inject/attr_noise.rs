@@ -5,7 +5,9 @@ use super::Injector;
 use openbi_table::{stats, Result, Rng, Table, TableError, Value};
 
 /// Adds `N(0, (sigma_factor × column_std)²)` noise to a fraction of the
-/// cells of each numeric column (excluding the listed columns).
+/// cells of each numeric column (excluding the listed columns). Cells are
+/// read through `Column::numbers`: a null, NaN or ±∞ cell is missing,
+/// enters no statistic and is left as it is.
 #[derive(Debug, Clone)]
 pub struct AttributeNoiseInjector {
     /// Fraction of cells perturbed per column.
@@ -76,12 +78,15 @@ impl Injector for AttributeNoiseInjector {
                     .unwrap_or(1.0)
                     * self.sigma_factor
             };
-            let n = col.len();
+            let values = col.numbers();
+            let n = values.len();
             let count = (self.ratio * n as f64).round() as usize;
             let is_int = col.dtype() == openbi_table::DataType::Int;
             for row in rng.sample_indices(n, count) {
-                let v = col.get(row)?;
-                let Some(x) = v.as_f64() else { continue };
+                let x = values[row];
+                if x.is_nan() {
+                    continue;
+                }
                 let noisy = x + rng.gauss() * scale;
                 let new = if is_int {
                     Value::Int(noisy.round() as i64)

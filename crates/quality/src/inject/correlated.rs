@@ -5,7 +5,9 @@ use super::Injector;
 use openbi_table::{stats, Column, Result, Rng, Table, TableError};
 
 /// Adds `copies` new columns, each an affine copy of `source` plus
-/// Gaussian noise at `noise`×std, named `{source}_corr{i}`.
+/// Gaussian noise at `noise`×std, named `{source}_corr{i}`. The source is
+/// read through `Column::numbers`: a null, NaN or ±∞ cell is missing,
+/// enters no deviation and is null in every copy.
 #[derive(Debug, Clone)]
 pub struct CorrelatedInjector {
     /// Source column to copy (must be numeric).
@@ -54,7 +56,7 @@ impl Injector for CorrelatedInjector {
             ));
         }
         let std = stats::std_dev(src).unwrap_or(0.0).max(1e-9);
-        let values = src.to_f64_vec();
+        let values = src.numbers();
         let mut out = table.clone();
         for k in 0..self.copies {
             // Vary the affine transform per copy so copies are not
@@ -63,7 +65,9 @@ impl Injector for CorrelatedInjector {
             let offset = 0.5 * k as f64;
             let copy: Vec<Option<f64>> = values
                 .iter()
-                .map(|v| v.map(|x| scale * x + offset + rng.gauss() * std * self.noise))
+                .map(|&x| {
+                    (!x.is_nan()).then(|| scale * x + offset + rng.gauss() * std * self.noise)
+                })
                 .collect();
             let mut name = format!("{}_corr{}", self.source, k + 1);
             while out.has_column(&name) {

@@ -7,7 +7,8 @@ use openbi_table::{stats, Result, Rng, Table, TableError, Value};
 /// Appends duplicated rows until they make up `ratio` of the result.
 /// With `perturbation > 0`, numeric cells of each copy are nudged by
 /// `N(0, (perturbation × column_std)²)`, producing near rather than exact
-/// duplicates.
+/// duplicates. Numeric cells are read through `Column::numbers`: a null,
+/// NaN or ±∞ cell is missing, enters no deviation and is copied as it is.
 #[derive(Debug, Clone)]
 pub struct DuplicateInjector {
     /// Fraction of the *output* rows that are injected duplicates.
@@ -74,12 +75,16 @@ impl Injector for DuplicateInjector {
         }
         // d / (n + d) = ratio  =>  d = ratio·n / (1 - ratio)
         let dups = ((self.ratio * n as f64) / (1.0 - self.ratio)).round() as usize;
-        let stds: Vec<Option<f64>> = table
+        // Per perturbed column: the noise scale and the column's numbers.
+        let perturbed: Vec<Option<(f64, Vec<f64>)>> = table
             .columns()
             .iter()
             .map(|c| {
-                if c.dtype().is_numeric() && !self.excluded.iter().any(|e| e == c.name()) {
-                    stats::std_dev(c)
+                if self.perturbation > 0.0
+                    && c.dtype().is_numeric()
+                    && !self.excluded.iter().any(|e| e == c.name())
+                {
+                    stats::std_dev(c).map(|std| (std * self.perturbation, c.numbers()))
                 } else {
                     None
                 }
@@ -89,15 +94,17 @@ impl Injector for DuplicateInjector {
         for _ in 0..dups {
             let src = rng.below(n);
             let mut row = table.row(src)?;
-            if self.perturbation > 0.0 {
-                for (ci, value) in row.iter_mut().enumerate() {
-                    let Some(std) = stds[ci] else { continue };
-                    let scale = std * self.perturbation;
-                    match value {
-                        Value::Float(f) => *f += rng.gauss() * scale,
-                        Value::Int(i) => *i += (rng.gauss() * scale).round() as i64,
-                        _ => {}
-                    }
+            for (value, column) in row.iter_mut().zip(&perturbed) {
+                let Some((scale, numbers)) = column else {
+                    continue;
+                };
+                if numbers[src].is_nan() {
+                    continue;
+                }
+                match value {
+                    Value::Float(f) => *f += rng.gauss() * scale,
+                    Value::Int(i) => *i += (rng.gauss() * scale).round() as i64,
+                    _ => {}
                 }
             }
             out.push_row(row)?;
@@ -109,7 +116,8 @@ impl Injector for DuplicateInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::measure::duplicates::{exact_duplicate_ratio, near_duplicate_ratio};
+    use crate::dedup::{find_duplicate_clusters, LinkageConfig};
+    use crate::measure::duplicates::exact_duplicate_ratio;
     use openbi_table::Column;
 
     fn table() -> Table {
@@ -140,9 +148,21 @@ mod tests {
         let inj = DuplicateInjector::near(0.2, 0.01).exclude(["class"]);
         let mut rng = Rng::seed_from_u64(2);
         let out = inj.apply(&table(), &mut rng).unwrap();
-        // Exact-dup ratio stays ~0 but near-dup ratio is high.
+        // The exact-dup ratio stays ~0, but record linkage ties the
+        // copies to their originals.
         assert!(exact_duplicate_ratio(&out) < 0.05);
-        assert!(near_duplicate_ratio(&out, 0.05) > 0.1);
+        let config = LinkageConfig {
+            threshold: 0.005,
+            ignore: vec!["class".into()],
+            ..Default::default()
+        };
+        let clusters = find_duplicate_clusters(&out, &config).unwrap();
+        let linked: usize = clusters.iter().map(|c| c.len() - 1).sum();
+        assert!(
+            linked * 10 > out.n_rows(),
+            "{linked} of {} rows linked",
+            out.n_rows()
+        );
     }
 
     #[test]

@@ -150,13 +150,7 @@ mod tests {
         let inj = IrrelevantInjector::uniform(1);
         let mut rng = Rng::seed_from_u64(4);
         let out = inj.apply(&table(), &mut rng).unwrap();
-        for v in out
-            .column("irrelevant1")
-            .unwrap()
-            .to_f64_vec()
-            .into_iter()
-            .flatten()
-        {
+        for v in out.column("irrelevant1").unwrap().numbers() {
             assert!((0.0..1.0).contains(&v));
         }
     }

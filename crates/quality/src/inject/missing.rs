@@ -10,7 +10,9 @@ pub enum MissingMechanism {
     Mcar,
     /// Missing At Random: rows in the upper half of `driver`'s values are
     /// `skew` times as likely to lose cells as the rest. The driver
-    /// column itself never loses values.
+    /// column itself never loses values. The driver is read through
+    /// `Column::numbers`: a row whose driver cell is null, NaN or ±∞ has
+    /// no value, enters no median and has the low rows' weight.
     Mar {
         /// Numeric column whose value drives missingness.
         driver: String,
@@ -112,9 +114,8 @@ impl Injector for MissingInjector {
                 }
             }
             MissingMechanism::Mar { driver, skew } => {
-                let dvals = table.column(driver)?.to_f64_vec();
-                let non_null: Vec<f64> = dvals.iter().flatten().copied().collect();
-                let mut sorted = non_null.clone();
+                let dvals = table.column(driver)?.numbers();
+                let mut sorted: Vec<f64> = dvals.iter().copied().filter(|v| !v.is_nan()).collect();
                 sorted.sort_by(f64::total_cmp);
                 let median = if sorted.is_empty() {
                     0.0
@@ -122,9 +123,11 @@ impl Injector for MissingInjector {
                     sorted[sorted.len() / 2]
                 };
                 let weight = |row: usize| -> usize {
-                    match dvals[row] {
-                        Some(v) if v >= median => (*skew).round().max(1.0) as usize,
-                        _ => 1,
+                    let v = dvals[row];
+                    if !v.is_nan() && v >= median {
+                        (*skew).round().max(1.0) as usize
+                    } else {
+                        1
                     }
                 };
                 // Weighted pool of cell indices.

@@ -6,6 +6,9 @@ use openbi_table::{stats, Result, Rng, Table, TableError, Value};
 
 /// Replaces `ratio` of each numeric column's cells with values placed
 /// `magnitude` standard deviations away from the mean (random sign).
+/// Cells are read through `Column::numbers`: a null, NaN or ±∞ cell is
+/// missing, enters neither the mean nor the deviation and is left as it
+/// is.
 #[derive(Debug, Clone)]
 pub struct OutlierInjector {
     /// Fraction of cells per numeric column turned into outliers.
@@ -66,11 +69,12 @@ impl Injector for OutlierInjector {
                 continue;
             };
             let std = if std > 0.0 { std } else { mean.abs().max(1.0) };
-            let n = col.len();
+            let values = col.numbers();
+            let n = values.len();
             let count = (self.ratio * n as f64).round() as usize;
             let is_int = col.dtype() == openbi_table::DataType::Int;
             for row in rng.sample_indices(n, count) {
-                if col.get(row)?.is_null() {
+                if values[row].is_nan() {
                     continue;
                 }
                 let sign = if rng.bool() { 1.0 } else { -1.0 };

@@ -1,9 +1,10 @@
 //! Completeness: the fraction of present cells.
 
-use openbi_table::{ColumnData, Table};
+use openbi_table::{DataType, Table};
 
 /// Overall completeness of a table: present cells / total cells. A null
-/// cell is missing, and so is a NaN or ±∞ float cell, as in the mining
+/// cell is missing, and a numeric cell is present as `Column::numbers`
+/// reads it, so a NaN or ±∞ float cell is missing too, as in the mining
 /// and quality kernels. An empty table is trivially complete (1.0).
 pub fn completeness(table: &Table) -> f64 {
     let total = table.n_rows() * table.n_cols();
@@ -13,9 +14,9 @@ pub fn completeness(table: &Table) -> f64 {
     let missing: usize = table
         .columns()
         .iter()
-        .map(|c| match c.data() {
-            ColumnData::Float(v) => v.iter().filter(|x| !x.is_some_and(f64::is_finite)).count(),
-            _ => c.null_count(),
+        .map(|c| match c.dtype() {
+            DataType::Str => c.null_count(),
+            _ => c.numbers().iter().filter(|x| x.is_nan()).count(),
         })
         .sum();
     1.0 - missing as f64 / total as f64

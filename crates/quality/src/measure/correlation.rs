@@ -36,8 +36,8 @@ pub fn correlation_report(table: &Table, exclude: &[&str], threshold: f64) -> Co
 /// The correlation kernel over already-packed columns.
 ///
 /// A cell participates in a pair iff both cells are present — the same
-/// pair filter as `openbi_table::stats::pearson`, which also skips
-/// non-finite cells.
+/// pair filter as `openbi_table::stats::pearson`, which also reads
+/// `Column::numbers`.
 pub(crate) fn report_from_packed(packed: &[PackedColumn], threshold: f64) -> CorrelationReport {
     let p = packed.len();
     // `saturating_sub`: a table with no numeric feature column has p = 0.

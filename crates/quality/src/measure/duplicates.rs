@@ -1,48 +1,71 @@
-//! Duplicate detection: exact and near duplicates.
+//! Exact-duplicate detection.
 //!
 //! Exact duplicates are found by hashed row fingerprints: each cell is
 //! folded column-major into a per-row `u64` hash (no per-row `String`
 //! allocation, unlike the reference's `Table::row_key` keys), rows are
 //! bucketed by hash, and every bucket is verified by exact typed cell
-//! comparison — so a hash collision can never merge distinct rows. The
-//! equality relation matches the reference's textual keys (all NaNs
-//! equal, `0.0` ≠ `-0.0`, null ≠ empty string) except that typed
-//! comparison also closes the reference's separator-injection ambiguity
-//! (a string cell containing the key separator could alias another row).
+//! comparison — so a hash collision can never merge distinct rows.
 //!
-//! Near duplicates use a normalized per-attribute distance with a
-//! configurable threshold — the classic record-matching setting of
-//! Elmagarmid et al. \[5\] and Ananthakrishna et al. \[1\], scoped to a
-//! single table.
+//! A float column is compared through `Column::numbers`, so a NaN or ±∞
+//! cell is missing and equals a null, and `0.0` ≠ `-0.0`; an integer is
+//! compared exactly, not widened; a null ≠ an empty string. On a table
+//! with no NaN or ±∞ cell this is the reference's textual-key relation,
+//! except that typed comparison also closes the reference's
+//! separator-injection ambiguity (a string cell containing the key
+//! separator could alias another row). Near duplicates are found by
+//! record linkage ([`crate::dedup`]).
 
 use openbi_table::fingerprint::{canonical_f64_bits, mix_u64, row_hash_seed};
-use openbi_table::{ColumnData, Table, Value};
+use openbi_table::{ColumnData, Table};
 use std::collections::HashMap;
 
+/// One column's cells as exact-duplicate detection compares them.
+enum Cells<'a> {
+    Int(&'a [Option<i64>]),
+    /// `Column::numbers`: NaN where the cell is missing.
+    Float(Vec<f64>),
+    Str(&'a [Option<String>]),
+    Bool(&'a [Option<bool>]),
+}
+
+fn cells(table: &Table) -> Vec<Cells<'_>> {
+    table
+        .columns()
+        .iter()
+        .map(|c| match c.data() {
+            ColumnData::Int(v) => Cells::Int(v),
+            ColumnData::Float(_) => Cells::Float(c.numbers()),
+            ColumnData::Str(v) => Cells::Str(v),
+            ColumnData::Bool(v) => Cells::Bool(v),
+        })
+        .collect()
+}
+
 /// Per-row content hashes: every cell folded column-major into one `u64`
-/// per row, with null/value tags and canonical float bits.
-fn row_hashes(table: &Table) -> Vec<u64> {
-    let mut hashes = vec![row_hash_seed(); table.n_rows()];
-    for c in table.columns() {
-        match c.data() {
-            ColumnData::Int(v) => {
-                for (h, cell) in hashes.iter_mut().zip(v) {
+/// per row, with null/value tags and float bits.
+fn row_hashes(columns: &[Cells<'_>], n_rows: usize) -> Vec<u64> {
+    let mut hashes = vec![row_hash_seed(); n_rows];
+    for column in columns {
+        match column {
+            Cells::Int(v) => {
+                for (h, cell) in hashes.iter_mut().zip(*v) {
                     *h = match cell {
                         None => mix_u64(*h, 0),
                         Some(i) => mix_u64(mix_u64(*h, 1), *i as u64),
                     };
                 }
             }
-            ColumnData::Float(v) => {
-                for (h, cell) in hashes.iter_mut().zip(v) {
-                    *h = match cell {
-                        None => mix_u64(*h, 0),
-                        Some(x) => mix_u64(mix_u64(*h, 1), canonical_f64_bits(*x)),
+            Cells::Float(v) => {
+                for (h, x) in hashes.iter_mut().zip(v) {
+                    *h = if x.is_nan() {
+                        mix_u64(*h, 0)
+                    } else {
+                        mix_u64(mix_u64(*h, 1), x.to_bits())
                     };
                 }
             }
-            ColumnData::Str(v) => {
-                for (h, cell) in hashes.iter_mut().zip(v) {
+            Cells::Str(v) => {
+                for (h, cell) in hashes.iter_mut().zip(*v) {
                     *h = match cell {
                         None => mix_u64(*h, 0),
                         Some(s) => {
@@ -58,8 +81,8 @@ fn row_hashes(table: &Table) -> Vec<u64> {
                     };
                 }
             }
-            ColumnData::Bool(v) => {
-                for (h, cell) in hashes.iter_mut().zip(v) {
+            Cells::Bool(v) => {
+                for (h, cell) in hashes.iter_mut().zip(*v) {
                     *h = match cell {
                         None => mix_u64(*h, 0),
                         Some(b) => mix_u64(mix_u64(*h, 1), *b as u64),
@@ -71,18 +94,15 @@ fn row_hashes(table: &Table) -> Vec<u64> {
     hashes
 }
 
-/// Exact typed equality of two rows: nulls match nulls, floats compare by
-/// canonical bits (all NaNs equal, signed zeros distinct).
-fn rows_equal(table: &Table, a: usize, b: usize) -> bool {
-    table.columns().iter().all(|c| match c.data() {
-        ColumnData::Int(v) => v[a] == v[b],
-        ColumnData::Float(v) => match (v[a], v[b]) {
-            (None, None) => true,
-            (Some(x), Some(y)) => canonical_f64_bits(x) == canonical_f64_bits(y),
-            _ => false,
-        },
-        ColumnData::Str(v) => v[a] == v[b],
-        ColumnData::Bool(v) => v[a] == v[b],
+/// Exact typed equality of two rows: missing matches missing (every NaN
+/// has one canonical pattern), floats compare by bits (signed zeros
+/// distinct).
+fn rows_equal(columns: &[Cells<'_>], a: usize, b: usize) -> bool {
+    columns.iter().all(|column| match column {
+        Cells::Int(v) => v[a] == v[b],
+        Cells::Float(v) => canonical_f64_bits(v[a]) == canonical_f64_bits(v[b]),
+        Cells::Str(v) => v[a] == v[b],
+        Cells::Bool(v) => v[a] == v[b],
     })
 }
 
@@ -90,7 +110,8 @@ fn rows_equal(table: &Table, a: usize, b: usize) -> bool {
 /// order. Buckets rows by content hash, then splits each bucket by exact
 /// typed comparison.
 fn duplicate_groups(table: &Table) -> Vec<Vec<usize>> {
-    let hashes = row_hashes(table);
+    let columns = cells(table);
+    let hashes = row_hashes(&columns, table.n_rows());
     // hash → indices into `groups` of the groups sharing that hash.
     let mut by_hash: HashMap<u64, Vec<usize>> = HashMap::new();
     let mut groups: Vec<Vec<usize>> = Vec::new();
@@ -99,7 +120,7 @@ fn duplicate_groups(table: &Table) -> Vec<Vec<usize>> {
         let found = candidates
             .iter()
             .copied()
-            .find(|&g| rows_equal(table, groups[g][0], row));
+            .find(|&g| rows_equal(&columns, groups[g][0], row));
         match found {
             Some(g) => groups[g].push(row),
             None => {
@@ -127,83 +148,6 @@ pub fn exact_duplicate_groups(table: &Table) -> Vec<Vec<usize>> {
         .into_iter()
         .filter(|g| g.len() >= 2)
         .collect()
-}
-
-/// Normalized distance between two rows: numeric attributes are compared
-/// relative to their column range, strings by inequality, nulls match
-/// nulls. Result in `[0,1]` (mean over attributes).
-fn row_distance(table: &Table, ranges: &[Option<(f64, f64)>], a: usize, b: usize) -> f64 {
-    let mut total = 0.0;
-    let n = table.n_cols();
-    for (ci, col) in table.columns().iter().enumerate() {
-        let va = col.get(a).expect("in-bounds");
-        let vb = col.get(b).expect("in-bounds");
-        let d = match (&va, &vb) {
-            (Value::Null, Value::Null) => 0.0,
-            (Value::Null, _) | (_, Value::Null) => 1.0,
-            _ => match (va.as_f64(), vb.as_f64()) {
-                (Some(x), Some(y)) => match ranges[ci] {
-                    Some((lo, hi)) if hi > lo => ((x - y).abs() / (hi - lo)).min(1.0),
-                    _ => {
-                        if x == y {
-                            0.0
-                        } else {
-                            1.0
-                        }
-                    }
-                },
-                _ => {
-                    if va == vb {
-                        0.0
-                    } else {
-                        1.0
-                    }
-                }
-            },
-        };
-        total += d;
-    }
-    if n == 0 {
-        0.0
-    } else {
-        total / n as f64
-    }
-}
-
-/// Fraction of rows whose normalized distance to some earlier row is at
-/// most `threshold`. Quadratic; intended for profile-sized samples.
-pub fn near_duplicate_ratio(table: &Table, threshold: f64) -> f64 {
-    let n = table.n_rows();
-    if n < 2 {
-        return 0.0;
-    }
-    let ranges: Vec<Option<(f64, f64)>> = table
-        .columns()
-        .iter()
-        .map(|c| {
-            if !c.dtype().is_numeric() {
-                return None;
-            }
-            let vals: Vec<f64> = c.to_f64_vec().into_iter().flatten().collect();
-            if vals.is_empty() {
-                None
-            } else {
-                let lo = vals.iter().cloned().fold(f64::INFINITY, f64::min);
-                let hi = vals.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                Some((lo, hi))
-            }
-        })
-        .collect();
-    let mut dups = 0usize;
-    for i in 1..n {
-        for j in 0..i {
-            if row_distance(table, &ranges, i, j) <= threshold {
-                dups += 1;
-                break;
-            }
-        }
-    }
-    dups as f64 / n as f64
 }
 
 #[cfg(test)]
@@ -263,29 +207,28 @@ mod tests {
             [f64::NAN, f64::from_bits(0x7FF8_0000_0000_0001), 0.0, -0.0],
         )])
         .unwrap();
-        // The two NaN payloads collapse; 0.0 and -0.0 stay distinct —
-        // exactly the `Value::to_string` key semantics ("NaN", "0", "-0").
+        // The two NaN payloads are both missing; 0.0 and -0.0 stay
+        // distinct, as their texts ("0", "-0") do.
         assert!((exact_duplicate_ratio(&t) - 0.25).abs() < 1e-12);
         assert_eq!(exact_duplicate_groups(&t), vec![vec![0, 1]]);
     }
 
     #[test]
-    fn near_duplicates_detected_within_threshold() {
+    fn non_finite_cells_duplicate_nulls() {
         let t = Table::new(vec![
-            Column::from_f64("x", [0.0, 0.05, 10.0]),
-            Column::from_str_values("s", ["a", "a", "b"]),
+            Column::from_opt_f64(
+                "x",
+                [
+                    None,
+                    Some(f64::INFINITY),
+                    Some(f64::NAN),
+                    Some(f64::NEG_INFINITY),
+                    Some(1.0),
+                ],
+            ),
+            Column::from_i64("k", [7, 7, 7, 8, 7]),
         ])
         .unwrap();
-        // Row 1 is within 0.1 of row 0 in normalized distance.
-        let ratio = near_duplicate_ratio(&t, 0.1);
-        assert!((ratio - 1.0 / 3.0).abs() < 1e-12);
-        // With zero threshold nothing matches (row 1 differs slightly).
-        assert_eq!(near_duplicate_ratio(&t, 0.0), 0.0);
-    }
-
-    #[test]
-    fn near_duplicates_on_tiny_table() {
-        let t = Table::new(vec![Column::from_i64("a", [1])]).unwrap();
-        assert_eq!(near_duplicate_ratio(&t, 0.5), 0.0);
+        assert_eq!(exact_duplicate_groups(&t), vec![vec![0, 1, 2]]);
     }
 }

@@ -22,7 +22,7 @@ pub mod noise;
 pub mod outliers;
 
 use crate::profile::QualityProfile;
-use openbi_table::{ColumnData, Table};
+use openbi_table::Table;
 
 /// Seed for the deterministic row sample the noise estimators draw
 /// when the table exceeds [`noise::DEFAULT_MAX_ROWS`].
@@ -67,11 +67,11 @@ impl MeasureOptions {
 
 /// One numeric column packed into contiguous `f64` storage.
 ///
-/// `values[i]` is the cell's numeric value (ints widened to `f64`), and
-/// NaN marks a missing cell: a null or non-finite cell packs as NaN, so
-/// every kernel reads presence from the value (`!v.is_nan()`) and a table
-/// with NaN or ±∞ cells measures exactly like the same table with those
-/// cells null.
+/// `values` is the column's [`Column::numbers`](openbi_table::Column::numbers):
+/// ints widened to `f64`, and NaN at a null or non-finite cell, so every
+/// kernel reads presence from the value (`!v.is_nan()`) and a table with
+/// NaN or ±∞ cells measures exactly like the same table with those cells
+/// null.
 pub(crate) struct PackedColumn {
     /// Column name (for correlation-report pair labels).
     pub name: String,
@@ -88,18 +88,9 @@ pub(crate) fn pack_numeric(table: &Table, exclude: &[&str]) -> Vec<PackedColumn>
         if exclude.contains(&c.name()) || !c.dtype().is_numeric() {
             continue;
         }
-        let values = match c.data() {
-            ColumnData::Int(v) => v.iter().map(|x| x.map_or(f64::NAN, |i| i as f64)).collect(),
-            ColumnData::Float(v) => v
-                .iter()
-                .map(|x| x.filter(|f| f.is_finite()).unwrap_or(f64::NAN))
-                .collect(),
-            // `DataType::is_numeric` is int/float only.
-            ColumnData::Str(_) | ColumnData::Bool(_) => unreachable!("filtered above"),
-        };
         out.push(PackedColumn {
             name: c.name().to_string(),
-            values,
+            values: c.numbers(),
         });
     }
     out

@@ -319,8 +319,31 @@ impl Column {
         (0..self.len()).map(move |i| self.get(i).expect("in-bounds"))
     }
 
-    /// Numeric view of the column: each cell as `Option<f64>`.
-    /// Strings yield `None`.
+    /// The one numeric-cell rule of the workspace: one slot per row, an
+    /// int widened to `f64`, a finite float unchanged (`-0.0` kept), a
+    /// bool as 0 or 1, and NaN — the one missing marker — for a null, a
+    /// NaN or ±∞ float, or a string. Every statistic, defect injector,
+    /// preprocessor and mining or quality kernel that reads numbers reads
+    /// them here, so a table with NaN or ±∞ cells reads exactly like the
+    /// same table with those cells null.
+    pub fn numbers(&self) -> Vec<f64> {
+        match &self.data {
+            ColumnData::Int(v) => v.iter().map(|x| x.map_or(f64::NAN, |i| i as f64)).collect(),
+            ColumnData::Float(v) => v
+                .iter()
+                .map(|x| x.filter(|f| f.is_finite()).unwrap_or(f64::NAN))
+                .collect(),
+            ColumnData::Bool(v) => v
+                .iter()
+                .map(|x| x.map_or(f64::NAN, |b| if b { 1.0 } else { 0.0 }))
+                .collect(),
+            ColumnData::Str(v) => vec![f64::NAN; v.len()],
+        }
+    }
+
+    /// The raw numeric view: each cell as `Option<f64>`, a NaN or ±∞
+    /// float kept as a value, strings `None`. Only the frozen test
+    /// oracles read it; product code reads [`Column::numbers`].
     pub fn to_f64_vec(&self) -> Vec<Option<f64>> {
         match &self.data {
             ColumnData::Int(v) => v.iter().map(|x| x.map(|i| i as f64)).collect(),
@@ -483,6 +506,42 @@ mod tests {
         assert_eq!(a.len(), 3);
         let f = Column::from_f64("a", [1.0]);
         assert!(a.extend_from(&f).is_err());
+    }
+
+    #[test]
+    fn numbers_read_every_missing_or_non_finite_cell_as_nan() {
+        let bits = |c: &Column| c.numbers().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let nan = f64::NAN.to_bits();
+        let ints = Column::from_opt_i64("i", [Some(-3), None, Some(7)]);
+        assert_eq!(bits(&ints), [(-3.0f64).to_bits(), nan, 7.0f64.to_bits()]);
+        let floats = Column::from_opt_f64(
+            "f",
+            [
+                Some(2.5),
+                Some(-0.0),
+                Some(f64::NAN),
+                Some(-f64::NAN),
+                Some(f64::INFINITY),
+                Some(f64::NEG_INFINITY),
+                None,
+            ],
+        );
+        assert_eq!(
+            bits(&floats),
+            [
+                2.5f64.to_bits(),
+                (-0.0f64).to_bits(),
+                nan,
+                nan,
+                nan,
+                nan,
+                nan
+            ]
+        );
+        let strings = Column::from_opt_str("s", [Some("1".to_string()), None]);
+        assert_eq!(bits(&strings), [nan, nan], "a string is not a number");
+        let flags = Column::new("b", ColumnData::Bool(vec![Some(true), Some(false), None]));
+        assert_eq!(bits(&flags), [1.0f64.to_bits(), 0.0f64.to_bits(), nan]);
     }
 
     #[test]

@@ -1,16 +1,18 @@
 //! Descriptive statistics over columns.
 //!
-//! Null-aware: every statistic is computed over the non-null cells only.
+//! Every statistic reads a column's cells through [`Column::numbers`], so
+//! it is computed over the present cells only: a null, a NaN or ±∞ cell
+//! and a string cell are missing.
 
 use crate::column::Column;
 use crate::error::{Result, TableError};
 use crate::value::Value;
 use std::collections::HashMap;
 
-/// Summary statistics of a numeric column (non-null cells only).
+/// Summary statistics of a numeric column (present cells only).
 #[derive(Debug, Clone, PartialEq)]
 pub struct NumericSummary {
-    /// Number of non-null cells.
+    /// Number of present cells.
     pub count: usize,
     /// Arithmetic mean.
     pub mean: f64,
@@ -28,8 +30,11 @@ pub struct NumericSummary {
     pub q3: f64,
 }
 
-fn non_null_f64(column: &Column) -> Vec<f64> {
-    column.to_f64_vec().into_iter().flatten().collect()
+/// The present cells of `column`, in row order.
+fn present(column: &Column) -> Vec<f64> {
+    let mut v = column.numbers();
+    v.retain(|x| !x.is_nan());
+    v
 }
 
 /// Linear-interpolation quantile of a **sorted** slice, `q` in `[0,1]`.
@@ -47,9 +52,9 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     }
 }
 
-/// Mean of non-null numeric cells; `None` if the column has no numeric data.
+/// Mean of the present cells; `None` if the column has none.
 pub fn mean(column: &Column) -> Option<f64> {
-    let v = non_null_f64(column);
+    let v = present(column);
     if v.is_empty() {
         None
     } else {
@@ -57,9 +62,9 @@ pub fn mean(column: &Column) -> Option<f64> {
     }
 }
 
-/// Sample variance (n-1) of non-null numeric cells.
+/// Sample variance (n-1) of the present cells.
 pub fn variance(column: &Column) -> Option<f64> {
-    let v = non_null_f64(column);
+    let v = present(column);
     if v.len() < 2 {
         return if v.len() == 1 { Some(0.0) } else { None };
     }
@@ -67,14 +72,14 @@ pub fn variance(column: &Column) -> Option<f64> {
     Some(v.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (v.len() - 1) as f64)
 }
 
-/// Sample standard deviation of non-null numeric cells.
+/// Sample standard deviation of the present cells.
 pub fn std_dev(column: &Column) -> Option<f64> {
     variance(column).map(f64::sqrt)
 }
 
-/// Full numeric summary; error if the column has no numeric cells.
+/// Full numeric summary; error if the column has no present cell.
 pub fn summarize(column: &Column) -> Result<NumericSummary> {
-    let mut v = non_null_f64(column);
+    let mut v = present(column);
     if v.is_empty() {
         return Err(TableError::InvalidArgument(format!(
             "column {} has no numeric data",
@@ -101,21 +106,17 @@ pub fn summarize(column: &Column) -> Result<NumericSummary> {
     })
 }
 
-/// Pearson correlation between two numeric columns, over rows where both
-/// are non-null **and finite** (NaN/±inf cells are treated like nulls, so
-/// one corrupt cell cannot poison the whole coefficient). `None` when fewer
-/// than two usable pairs, zero variance, or co-moments that overflow to ∞
-/// (finite cells near ±1e200), whose ∞/∞ quotient is NaN.
+/// Pearson correlation between two numeric columns, over the rows where
+/// both cells are present (so one NaN or ±∞ cell cannot poison the whole
+/// coefficient). `None` when fewer than two usable pairs, zero variance,
+/// or co-moments that overflow to ∞ (finite cells near ±1e200), whose
+/// ∞/∞ quotient is NaN.
 pub fn pearson(a: &Column, b: &Column) -> Option<f64> {
-    let av = a.to_f64_vec();
-    let bv = b.to_f64_vec();
-    let pairs: Vec<(f64, f64)> = av
-        .iter()
-        .zip(bv.iter())
-        .filter_map(|(x, y)| {
-            let (x, y) = ((*x)?, (*y)?);
-            (x.is_finite() && y.is_finite()).then_some((x, y))
-        })
+    let pairs: Vec<(f64, f64)> = a
+        .numbers()
+        .into_iter()
+        .zip(b.numbers())
+        .filter(|(x, y)| !x.is_nan() && !y.is_nan())
         .collect();
     let n = pairs.len();
     if n < 2 {

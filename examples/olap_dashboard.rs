@@ -32,9 +32,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let st0 = facts.filter(|row| row[0].to_string() == "ST000");
     let pm10_series: Vec<f64> = st0
         .column("pm10")?
-        .to_f64_vec()
+        .numbers()
         .into_iter()
-        .flatten()
+        .filter(|x| !x.is_nan())
         .collect();
 
     // Quality footer so the citizen knows how much to trust the charts.

@@ -6,7 +6,7 @@
 
 use openbi::experiment::{Criterion, ExperimentDataset};
 use openbi_datagen::{all_scenarios, Scenario};
-use openbi_table::{Column, ColumnData, Rng, Table};
+use openbi_table::{Column, ColumnData, Rng, Table, Value};
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 
@@ -54,6 +54,121 @@ pub fn null_nonfinite(table: &Table) -> Table {
         })
         .collect();
     Table::new(columns).expect("same shape as a valid table")
+}
+
+/// A deterministic uniform `[0, 1)` stream (an LCG), so corpora do not
+/// depend on the generator the product crates use.
+pub fn lcg(seed: u64) -> impl FnMut() -> f64 {
+    let mut state = seed | 1;
+    move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((state >> 33) as f64) / ((1u64 << 31) as f64)
+    }
+}
+
+/// Non-finite inputs: one numeric column per value in `specials`, each
+/// holding that value in about 4% of rows (plus ~5% missing), a
+/// learnable finite column, an all-missing column and a nominal column
+/// with gaps, over 3 classes.
+pub fn nonfinite(n: usize, seed: u64, specials: &[f64]) -> Table {
+    const CLASSES: [&str; 3] = ["a", "b", "c"];
+    const ZONES: [&str; 3] = ["x", "y", "z"];
+    let mut next = lcg(seed);
+    let mut signal = Vec::with_capacity(n);
+    let mut odd: Vec<Vec<Option<f64>>> = vec![Vec::with_capacity(n); specials.len()];
+    let mut zone = Vec::with_capacity(n);
+    let mut labels = Vec::with_capacity(n);
+    for _ in 0..n {
+        let cls = (next() * 3.0) as usize % 3;
+        labels.push(CLASSES[cls]);
+        signal.push(Some(cls as f64 * 2.0 + next() * 3.0));
+        for (k, col) in odd.iter_mut().enumerate() {
+            let u = next();
+            col.push(if u < 0.04 {
+                Some(specials[k])
+            } else if u < 0.09 {
+                None
+            } else {
+                Some((next() * 12.0).floor() + cls as f64 * (k % 2) as f64)
+            });
+        }
+        zone.push(if next() < 0.05 {
+            None
+        } else {
+            Some(ZONES[(next() * 3.0) as usize % 3].to_string())
+        });
+    }
+    let mut columns = vec![Column::from_opt_f64("signal", signal)];
+    columns.extend(
+        odd.into_iter()
+            .enumerate()
+            .map(|(k, v)| Column::from_opt_f64(format!("odd{k}"), v)),
+    );
+    columns.push(Column::from_opt_f64("empty", vec![None; n]));
+    columns.push(Column::from_opt_str("zone", zone));
+    columns.push(Column::from_str_values("class", labels));
+    Table::new(columns).expect("columns of one length")
+}
+
+/// The non-finite corpora of `seed`, by name, each with target `class`:
+/// `infinite` (a +∞ and a −∞ column), `nan` (NaN cells of both signs)
+/// and `mixed`. In `mixed` the `odd0` column holds +∞, NaN, −∞ and −NaN
+/// cells together, an integer column `count` with nulls sits next to
+/// the floats, and the last rows copy earlier rows with every NaN or ±∞
+/// cell turned into another one or a null, so a reader that tells a
+/// NaN, an ∞ and a null apart sees distinct rows where the
+/// [`null_nonfinite`] twin holds exact duplicates.
+pub fn nonfinite_corpora(seed: u64) -> Vec<(&'static str, Table)> {
+    const N: usize = 180;
+    let (inf, nan) = (f64::INFINITY, f64::NAN);
+    let mut mixed = nonfinite(N, seed, &[inf, nan, -inf]);
+    let specials = [inf, nan, -inf, -nan];
+    let odd0 = mixed.column("odd0").expect("generated").data().clone();
+    let ColumnData::Float(odd0) = odd0 else {
+        unreachable!("generated as floats")
+    };
+    let odd0 = odd0
+        .into_iter()
+        .enumerate()
+        .map(|(r, x)| x.map(|v| if v.is_finite() { v } else { specials[r % 4] }));
+    mixed
+        .replace_column(Column::from_opt_f64("odd0", odd0))
+        .expect("same length");
+    let mut next = lcg(seed ^ 0x5eed);
+    let count = (0..N).map(|_| {
+        let u = next();
+        (u >= 0.1).then(|| (u * 40.0) as i64 - 20)
+    });
+    mixed
+        .add_column(Column::from_opt_i64("count", count))
+        .expect("same length");
+    let turned = |v: Value| match v {
+        Value::Float(f) if f == inf => Value::Float(nan),
+        Value::Float(f) if f.is_nan() => Value::Float(-inf),
+        Value::Float(f) if f == -inf => Value::Null,
+        other => other,
+    };
+    let with_specials: Vec<usize> = (0..N)
+        .filter(|&r| {
+            mixed
+                .row(r)
+                .expect("in bounds")
+                .iter()
+                .any(|v| matches!(v, Value::Float(f) if !f.is_finite()))
+        })
+        .take(12)
+        .collect();
+    for r in with_specials {
+        let copy = mixed.row(r).expect("in bounds").into_iter().map(turned);
+        mixed.push_row(copy.collect()).expect("same schema");
+    }
+    vec![
+        ("infinite", nonfinite(N, seed, &[inf, -inf])),
+        ("nan", nonfinite(N, seed, &[nan, -nan])),
+        ("mixed", mixed),
+    ]
 }
 
 /// FNV-1a, 64-bit, over `bytes`: the digest the equivalence suites pin

@@ -36,9 +36,11 @@
 //!    process-wide table, and of the forest's on the seed-2012
 //!    `pipeline_mix` tables, taken before each fit grew its tree on one
 //!    in-place partitioned arena.
-//! 5. **Guided imputation** — both imputing steps fill a NaN or ±∞ cell
-//!    of the non-finite corpora exactly as they fill the null of the
-//!    corpus's `null_nonfinite` twin.
+//! 5. **Guided imputation and preprocessing** — both imputing steps fill
+//!    a NaN or ±∞ cell of the non-finite corpora exactly as they fill the
+//!    null of the corpus's `null_nonfinite` twin, and the encoding into
+//!    `Instances`, both scalers, both binnings, MDL discretization and
+//!    outlier clamping treat it as that null.
 
 use openbi::experiment::{run_phase1_report, Criterion, ExperimentConfig, ExperimentDataset};
 use openbi::guidance::{PreprocessingPlan, PreprocessingStep};
@@ -50,7 +52,9 @@ use openbi_datagen::{
     all_scenarios, make_blobs, make_rule_based, reference_datasets, BlobsConfig, RuleConfig,
 };
 use openbi_integration::reference::mining as reference;
-use openbi_integration::{fnv64, null_nonfinite, pipeline_mix_scenarios};
+use openbi_integration::{
+    fnv64, lcg, nonfinite, nonfinite_corpora, null_nonfinite, pipeline_mix_scenarios,
+};
 use openbi_quality::{Degradation, MissingInjector};
 use openbi_table::{Column, Rng, Table};
 
@@ -142,18 +146,6 @@ fn run_grid_fingerprint(seed: u64, workers: usize) -> Vec<String> {
     kb_fingerprint(&kb)
 }
 
-/// A deterministic uniform `[0, 1)` stream (an LCG), so corpora do not
-/// depend on the RNG crate.
-fn lcg(seed: u64) -> impl FnMut() -> f64 {
-    let mut state = seed | 1;
-    move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        ((state >> 33) as f64) / ((1u64 << 31) as f64)
-    }
-}
-
 /// A discretized-sensor table: 8 numeric attributes quantized to 24
 /// levels (so candidate thresholds and neighbour distances tie often),
 /// ~5% missing cells and 3 string classes.
@@ -180,50 +172,6 @@ fn discretized(n: usize, seed: u64) -> Table {
         .enumerate()
         .map(|(a, v)| Column::from_opt_f64(format!("f{a}"), v))
         .collect();
-    columns.push(Column::from_str_values("class", labels));
-    Table::new(columns).unwrap()
-}
-
-/// Non-finite inputs: one numeric column per value in `specials`, each
-/// holding that value in about 4% of rows (plus ~5% missing), a
-/// learnable finite column, an all-missing column and a nominal column
-/// with gaps, over 3 classes.
-fn nonfinite(n: usize, seed: u64, specials: &[f64]) -> Table {
-    const CLASSES: [&str; 3] = ["a", "b", "c"];
-    const ZONES: [&str; 3] = ["x", "y", "z"];
-    let mut next = lcg(seed);
-    let mut signal = Vec::with_capacity(n);
-    let mut odd: Vec<Vec<Option<f64>>> = vec![Vec::with_capacity(n); specials.len()];
-    let mut zone = Vec::with_capacity(n);
-    let mut labels = Vec::with_capacity(n);
-    for _ in 0..n {
-        let cls = (next() * 3.0) as usize % 3;
-        labels.push(CLASSES[cls]);
-        signal.push(Some(cls as f64 * 2.0 + next() * 3.0));
-        for (k, col) in odd.iter_mut().enumerate() {
-            let u = next();
-            col.push(if u < 0.04 {
-                Some(specials[k])
-            } else if u < 0.09 {
-                None
-            } else {
-                Some((next() * 12.0).floor() + cls as f64 * (k % 2) as f64)
-            });
-        }
-        zone.push(if next() < 0.05 {
-            None
-        } else {
-            Some(ZONES[(next() * 3.0) as usize % 3].to_string())
-        });
-    }
-    let mut columns = vec![Column::from_opt_f64("signal", signal)];
-    columns.extend(
-        odd.into_iter()
-            .enumerate()
-            .map(|(k, v)| Column::from_opt_f64(format!("odd{k}"), v)),
-    );
-    columns.push(Column::from_opt_f64("empty", vec![None; n]));
-    columns.push(Column::from_opt_str("zone", zone));
     columns.push(Column::from_str_values("class", labels));
     Table::new(columns).unwrap()
 }
@@ -498,20 +446,14 @@ fn grid_kb_is_byte_identical_across_worker_counts() {
     }
 }
 
-/// FNV-1a, 64-bit, over the little-endian bytes of `words`.
 /// A NaN or ±∞ cell is missing to guided imputation: it enters no
 /// mean, range or distance and is filled like a null, so imputing a
 /// non-finite corpus and then nulling what is left equals imputing its
 /// null twin, and only the all-missing column keeps missing cells.
 #[test]
 fn guided_imputation_fills_non_finite_cells_like_nulls() {
-    let specials = [
-        ("infinite", [f64::INFINITY, f64::NEG_INFINITY]),
-        ("nan", [f64::NAN, -f64::NAN]),
-    ];
     for seed in SEEDS {
-        for (name, specials) in specials {
-            let table = nonfinite(180, seed, &specials);
+        for (name, table) in nonfinite_corpora(seed) {
             let twin = null_nonfinite(&table);
             assert!(twin.total_null_count() > table.total_null_count());
             for step in [
@@ -532,6 +474,73 @@ fn guided_imputation_fills_non_finite_cells_like_nulls() {
                     table.n_rows(),
                     "{context}: only the all-missing column stays missing"
                 );
+            }
+        }
+    }
+}
+
+/// Every other mining and guidance reader of numeric cells takes them
+/// from `Column::numbers`: on each non-finite corpus `t`,
+/// `null_nonfinite(R(t))` equals `R(null_nonfinite(t))` for the
+/// encoding into `Instances` (slot bits), both scalers, both binning
+/// strategies, MDL discretization and outlier clamping. An error must
+/// be the same error on both sides.
+#[test]
+fn preprocessors_read_non_finite_cells_like_nulls() {
+    use openbi::mining::preprocess::{
+        discretize_column, mdl_discretize_column, min_max_scale, z_score, BinStrategy,
+    };
+    let clamp = PreprocessingPlan {
+        steps: vec![PreprocessingStep::ClampOutliers],
+    };
+    for seed in SEEDS {
+        for (name, table) in nonfinite_corpora(seed) {
+            let twin = null_nonfinite(&table);
+            let encode = |t: &Table| {
+                let data = Instances::from_table(t, Some("class"), &[]).unwrap();
+                let slots: Vec<Vec<u64>> = (0..data.attributes.len())
+                    .map(|a| data.column_values(a).iter().map(|x| x.to_bits()).collect())
+                    .collect();
+                (data.attributes, data.labels, data.class_names, slots)
+            };
+            assert!(
+                encode(&table) == encode(&twin),
+                "{name} seed {seed}: Instances"
+            );
+            let numeric: Vec<&str> = table
+                .columns()
+                .iter()
+                .filter(|c| c.dtype().is_numeric())
+                .map(|c| c.name())
+                .collect();
+            type Reader<'a> = Box<dyn Fn(&Table) -> Option<Table> + 'a>;
+            let mut readers: Vec<(String, Reader)> = vec![
+                (
+                    "min_max_scale".into(),
+                    Box::new(|t| min_max_scale(t, &numeric).ok()),
+                ),
+                ("z_score".into(), Box::new(|t| z_score(t, &numeric).ok())),
+                (
+                    "ClampOutliers".into(),
+                    Box::new(|t| clamp.apply(t, &["class"]).ok()),
+                ),
+            ];
+            for &column in &numeric {
+                for strategy in [BinStrategy::EqualWidth, BinStrategy::EqualFrequency] {
+                    readers.push((
+                        format!("discretize_column({column}, {strategy:?})"),
+                        Box::new(move |t| discretize_column(t, column, 3, strategy).ok()),
+                    ));
+                }
+                readers.push((
+                    format!("mdl_discretize_column({column})"),
+                    Box::new(move |t| mdl_discretize_column(t, column, "class").ok()),
+                ));
+            }
+            for (reader, run) in &readers {
+                let got = run(&table).map(|t| null_nonfinite(&t).fingerprint());
+                let want = run(&twin).map(|t| t.fingerprint());
+                assert_eq!(got, want, "{name} seed {seed}: {reader}");
             }
         }
     }

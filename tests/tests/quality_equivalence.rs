@@ -23,7 +23,10 @@
 //!
 //! The per-criterion checks at the end hold each live kernel to its
 //! frozen counterpart on small hand-built tables, and pin the three
-//! noise fixes as deliberate differences.
+//! noise fixes as deliberate differences. The twin checks after them
+//! hold whole profiles, the table statistics, the defect injectors and
+//! the duplicate readers to their results on the `null_nonfinite` twin
+//! of each non-finite corpus: one numeric-cell rule, `Column::numbers`.
 
 use openbi::experiment::{run_phase1_report, Criterion, ExperimentConfig, ExperimentDataset};
 use openbi::kb::SnapshotKnowledgeBase;
@@ -31,7 +34,7 @@ use openbi::obs;
 use openbi::pipeline::{run_pipeline, DataSource, PipelineConfig};
 use openbi_datagen::{make_blobs, BlobsConfig};
 use openbi_integration::reference::quality as reference;
-use openbi_integration::{fnv64, null_nonfinite, pipeline_mix_scenarios};
+use openbi_integration::{fnv64, nonfinite_corpora, null_nonfinite, pipeline_mix_scenarios};
 use openbi_quality::measure::balance::balance_report;
 use openbi_quality::measure::completeness::completeness;
 use openbi_quality::measure::consistency::format_signature;
@@ -1176,4 +1179,207 @@ fn completeness_counts_non_finite_cells_as_missing() {
         );
     }
     assert!(non_finite > 0, "the corpora must hold non-finite cells");
+}
+
+/// Every field of a profile, integers as words and floats as bits.
+fn profile_bits(p: &QualityProfile) -> Vec<(&'static str, u64)> {
+    vec![
+        ("n_rows", p.n_rows as u64),
+        ("n_attributes", p.n_attributes as u64),
+        ("completeness", p.completeness.to_bits()),
+        ("duplicate_ratio", p.duplicate_ratio.to_bits()),
+        ("max_abs_correlation", p.max_abs_correlation.to_bits()),
+        ("mean_abs_correlation", p.mean_abs_correlation.to_bits()),
+        ("class_balance", p.class_balance.to_bits()),
+        ("minority_ratio", p.minority_ratio.to_bits()),
+        ("dimensionality", p.dimensionality.to_bits()),
+        ("outlier_ratio", p.outlier_ratio.to_bits()),
+        ("label_noise_estimate", p.label_noise_estimate.to_bits()),
+        ("attr_noise_estimate", p.attr_noise_estimate.to_bits()),
+        ("consistency", p.consistency.to_bits()),
+        ("distinct_class_count", p.distinct_class_count as u64),
+    ]
+}
+
+/// The non-finite tables the twin checks below run on, each with its
+/// measure options: the noise corpora, and the `nonfinite_corpora` of
+/// three seeds.
+fn non_finite_tables() -> Vec<(String, Table, MeasureOptions)> {
+    let mut tables: Vec<(String, Table, MeasureOptions)> = noise_cases()
+        .into_iter()
+        .map(|case| {
+            let options = MeasureOptions {
+                target: Some(case.target.clone()),
+                exclude: case.exclude.iter().map(|e| e.to_string()).collect(),
+            };
+            (case.name.to_string(), case.table, options)
+        })
+        .collect();
+    for seed in [7, 21, 42] {
+        for (name, table) in nonfinite_corpora(seed) {
+            tables.push((
+                format!("{name} seed {seed}"),
+                table,
+                MeasureOptions::with_target("class"),
+            ));
+        }
+    }
+    tables
+}
+
+/// `null_nonfinite(table)` with the target column kept as it is: a label
+/// is read as a category, so a NaN label is the class `NaN`, not a
+/// missing one.
+fn feature_twin(table: &Table, options: &MeasureOptions) -> Table {
+    let mut twin = null_nonfinite(table);
+    if let Some(target) = &options.target {
+        twin.replace_column(table.column(target).unwrap().clone())
+            .unwrap();
+    }
+    twin
+}
+
+/// The whole profile of every non-finite table equals the profile of
+/// its twin, field for field and bit for bit: every criterion reads a
+/// NaN or ±∞ feature cell as missing, the exact-duplicate ratio
+/// included, which the `mixed` corpora's copies with turned special
+/// cells test.
+#[test]
+fn profiles_of_non_finite_corpora_equal_their_twins() {
+    let mut duplicated = 0;
+    for (name, table, options) in non_finite_tables() {
+        let twin = feature_twin(&table, &options);
+        let (live, twinned) = (
+            measure_profile(&table, &options),
+            measure_profile(&twin, &options),
+        );
+        for ((field, got), (_, want)) in profile_bits(&live).into_iter().zip(profile_bits(&twinned))
+        {
+            assert_eq!(got, want, "{name}: {field} ({live:?} vs {twinned:?})");
+        }
+        duplicated += usize::from(live.duplicate_ratio > 0.0);
+    }
+    assert!(duplicated >= 3, "the mixed corpora must hold duplicates");
+}
+
+/// The table statistics read a NaN or ±∞ cell as missing: every
+/// numeric column's mean, variance, deviation and summary, and every
+/// pair's Pearson coefficient, have the bits they have on the twin.
+#[test]
+fn table_statistics_read_non_finite_cells_like_nulls() {
+    use openbi_table::stats;
+    let word = |x: Option<f64>| x.map(f64::to_bits);
+    for (name, table, _) in non_finite_tables() {
+        let twin = null_nonfinite(&table);
+        let numeric: Vec<&str> = table
+            .columns()
+            .iter()
+            .filter(|c| c.dtype().is_numeric())
+            .map(|c| c.name())
+            .collect();
+        for &a in &numeric {
+            let [col, twin_col] = [&table, &twin].map(|t| t.column(a).unwrap());
+            let summary = |c| {
+                stats::summarize(c).ok().map(|s| {
+                    let fields = [s.mean, s.std, s.min, s.max, s.median, s.q1, s.q3];
+                    (s.count, fields.map(f64::to_bits))
+                })
+            };
+            assert_eq!(
+                [stats::mean, stats::variance, stats::std_dev].map(|f| word(f(col))),
+                [stats::mean, stats::variance, stats::std_dev].map(|f| word(f(twin_col))),
+                "{name}: {a}"
+            );
+            assert_eq!(summary(col), summary(twin_col), "{name}: {a}");
+            for &b in &numeric {
+                assert_eq!(
+                    word(stats::pearson(col, table.column(b).unwrap())),
+                    word(stats::pearson(twin_col, twin.column(b).unwrap())),
+                    "{name}: pearson({a}, {b})"
+                );
+            }
+        }
+    }
+}
+
+/// Every defect injector that reads numbers reads a NaN or ±∞ cell as
+/// missing: it enters no mean, deviation or median, it is never
+/// perturbed, moved or copied as a value, and it draws nothing from the
+/// generator, so `null_nonfinite(inject(t))` equals `inject(twin)`.
+#[test]
+fn injectors_read_non_finite_cells_like_nulls() {
+    use openbi_quality::inject::Injector;
+    use openbi_quality::{
+        AttributeNoiseInjector, CorrelatedInjector, DuplicateInjector, OutlierInjector,
+    };
+    for seed in [7, 21, 42] {
+        for (name, table) in nonfinite_corpora(seed) {
+            let twin = null_nonfinite(&table);
+            let mut injectors: Vec<Box<dyn Injector>> = vec![
+                Box::new(AttributeNoiseInjector::new(0.3, 1.0).exclude(["class"])),
+                Box::new(OutlierInjector::new(0.1, 6.0).exclude(["class"])),
+                Box::new(DuplicateInjector::near(0.2, 0.05).exclude(["class"])),
+            ];
+            for column in table.columns().iter().filter(|c| c.dtype().is_numeric()) {
+                injectors.push(Box::new(CorrelatedInjector::new(column.name(), 2, 0.1)));
+                injectors.push(Box::new(MissingInjector::mar(0.2, column.name())));
+            }
+            for injector in &injectors {
+                let inject = |t: &Table| injector.apply(t, &mut Rng::seed_from_u64(seed)).unwrap();
+                assert_eq!(
+                    null_nonfinite(&inject(&table)).fingerprint(),
+                    inject(&twin).fingerprint(),
+                    "{name} seed {seed}: {}",
+                    injector.describe()
+                );
+            }
+        }
+    }
+}
+
+/// Exact duplicates and record linkage read a NaN or ±∞ cell as
+/// missing: a copy whose non-finite cells differ in kind is an exact
+/// duplicate, as on the twin, and the linkage blocks (on a string and on
+/// a numeric key), ranges, distances, clusters and survivor means are
+/// the twin's.
+#[test]
+fn duplicate_readers_read_non_finite_cells_like_nulls() {
+    use openbi_quality::inject::Injector;
+    use openbi_quality::measure::duplicates::exact_duplicate_groups;
+    use openbi_quality::{
+        find_duplicate_clusters, merge_duplicates, DuplicateInjector, LinkageConfig,
+    };
+    for seed in [7, 21, 42] {
+        for (name, table) in nonfinite_corpora(seed) {
+            let table = DuplicateInjector::near(0.15, 0.02)
+                .exclude(["class", "zone"])
+                .apply(&table, &mut Rng::seed_from_u64(seed))
+                .unwrap();
+            let twin = null_nonfinite(&table);
+            let groups = exact_duplicate_groups(&table);
+            assert_eq!(groups, exact_duplicate_groups(&twin), "{name} seed {seed}");
+            assert_eq!(name == "mixed", !groups.is_empty(), "{name} seed {seed}");
+            for blocking_column in [None, Some("zone".to_string()), Some("odd0".to_string())] {
+                let config = LinkageConfig {
+                    blocking_column,
+                    threshold: 0.05,
+                    ignore: vec!["class".into()],
+                };
+                let clusters = find_duplicate_clusters(&table, &config).unwrap();
+                assert!(!clusters.is_empty(), "{name} seed {seed}: {config:?}");
+                assert_eq!(
+                    clusters,
+                    find_duplicate_clusters(&twin, &config).unwrap(),
+                    "{name} seed {seed}: {config:?}"
+                );
+                let (merged, removed) = merge_duplicates(&table, &config).unwrap();
+                let (want, want_removed) = merge_duplicates(&twin, &config).unwrap();
+                assert_eq!(
+                    (null_nonfinite(&merged).fingerprint(), removed),
+                    (want.fingerprint(), want_removed),
+                    "{name} seed {seed}: {config:?}"
+                );
+            }
+        }
+    }
 }
