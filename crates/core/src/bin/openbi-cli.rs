@@ -82,14 +82,20 @@ struct Args {
 }
 
 impl Args {
-    fn parse(raw: &[String]) -> Args {
+    /// Split `raw` into positionals and flags. A flag takes the next
+    /// argument as its value unless that is a flag too; a flag named in
+    /// `switches` never takes one.
+    fn parse(raw: &[String], switches: &[&str]) -> Args {
         let mut positional = Vec::new();
         let mut flags = Vec::new();
         let mut i = 0;
         while i < raw.len() {
             let a = &raw[i];
             if let Some(name) = a.strip_prefix("--") {
-                let value = raw.get(i + 1).filter(|v| !v.starts_with("--")).cloned();
+                let value = raw
+                    .get(i + 1)
+                    .filter(|v| !v.starts_with("--") && !switches.contains(&name))
+                    .cloned();
                 if value.is_some() {
                     i += 1;
                 }
@@ -967,26 +973,29 @@ fn cmd_cube(args: &Args) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// A command and the flags it reads.
-type Command = (fn(&Args) -> ExitCode, &'static [&'static str]);
+/// A command, the flags it reads that take a value, and those that take
+/// none.
+struct Command {
+    run: fn(&Args) -> ExitCode,
+    flags: &'static [&'static str],
+    switches: &'static [&'static str],
+}
 
 fn command(name: &str) -> Option<Command> {
     Some(match name {
-        "profile" => (cmd_profile, &["target", "exclude"]),
-        "mine" => (
-            cmd_mine,
-            &[
-                "target",
-                "exclude",
-                "kb",
-                "no-preprocess",
-                "select",
-                "publish",
-            ],
-        ),
-        "advise" => (
-            cmd_advise,
-            &[
+        "profile" => Command {
+            run: cmd_profile,
+            flags: &["target", "exclude"],
+            switches: &[],
+        },
+        "mine" => Command {
+            run: cmd_mine,
+            flags: &["target", "exclude", "kb", "publish"],
+            switches: &["no-preprocess", "select"],
+        },
+        "advise" => Command {
+            run: cmd_advise,
+            flags: &[
                 "target",
                 "exclude",
                 "kb",
@@ -994,15 +1003,15 @@ fn command(name: &str) -> Option<Command> {
                 "bandwidth",
                 "metrics-out",
             ],
-        ),
-        "experiments" => (
-            cmd_experiments,
-            &[
+            switches: &[],
+        },
+        "experiments" => Command {
+            run: cmd_experiments,
+            flags: &[
                 "out",
                 "rows",
                 "folds",
                 "seed",
-                "full",
                 "workers",
                 "metrics-out",
                 "fault-plan",
@@ -1011,11 +1020,16 @@ fn command(name: &str) -> Option<Command> {
                 "wal-dir",
                 "fsync",
             ],
-        ),
-        "kb" => (cmd_kb, &["wal-dir", "out", "metrics-out"]),
-        "cube" => (
-            cmd_cube,
-            &[
+            switches: &["full"],
+        },
+        "kb" => Command {
+            run: cmd_kb,
+            flags: &["wal-dir", "out", "metrics-out"],
+            switches: &[],
+        },
+        "cube" => Command {
+            run: cmd_cube,
+            flags: &[
                 "dims",
                 "measures",
                 "shards",
@@ -1025,7 +1039,8 @@ fn command(name: &str) -> Option<Command> {
                 "fault-plan",
                 "max-retries",
             ],
-        ),
+            switches: &[],
+        },
         _ => return None,
     })
 }
@@ -1039,19 +1054,16 @@ fn main() -> ExitCode {
         println!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-    let Some((run, reads)) = command(&name) else {
+    let Some(command) = command(&name) else {
         return fail(&format!("unknown command: {name}"));
     };
-    let args = Args::parse(&raw[1..]);
+    let args = Args::parse(&raw[1..], command.switches);
     // A flag the command does not read would be silently ignored.
-    if let Some((flag, _)) = args
-        .flags
-        .iter()
-        .find(|(f, _)| !reads.contains(&f.as_str()))
-    {
+    let reads = |flag: &str| command.flags.contains(&flag) || command.switches.contains(&flag);
+    if let Some((flag, _)) = args.flags.iter().find(|(f, _)| !reads(f)) {
         return refuse(&format!("unknown flag --{flag} for {name}"));
     }
-    run(&args)
+    (command.run)(&args)
 }
 
 #[cfg(test)]
@@ -1059,7 +1071,14 @@ mod tests {
     use super::Args;
 
     fn parse(raw: &[&str]) -> Args {
-        Args::parse(&raw.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+        parse_with(raw, &[])
+    }
+
+    fn parse_with(raw: &[&str], switches: &[&str]) -> Args {
+        Args::parse(
+            &raw.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
+            switches,
+        )
     }
 
     #[test]
@@ -1078,6 +1097,18 @@ mod tests {
         assert!(a.has("no-preprocess"));
         assert_eq!(a.flag("no-preprocess"), None);
         assert_eq!(a.flag("kb"), Some("kb.jsonl"));
+    }
+
+    #[test]
+    fn a_switch_leaves_the_next_argument_positional() {
+        let a = parse_with(
+            &["--select", "data.csv", "--target", "class", "--full"],
+            &["select", "full"],
+        );
+        assert_eq!(a.positional, vec!["data.csv"]);
+        assert!(a.has("select") && a.has("full"));
+        assert_eq!(a.flag("select"), None);
+        assert_eq!(a.flag("target"), Some("class"));
     }
 
     #[test]

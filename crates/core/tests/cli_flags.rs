@@ -165,6 +165,48 @@ fn every_command_refuses_a_flag_it_does_not_read() {
     assert!(!dir.exists(), "a refused command must write nothing");
 }
 
+/// A flag that takes no value never swallows the argument after it:
+/// `mine --select d.csv --target class` mines `d.csv` with attribute
+/// selection, exactly as with the switch last, and `--no-preprocess`
+/// before the path leaves it positional too.
+#[test]
+fn a_switch_before_the_path_leaves_the_path_positional() {
+    let dir = std::env::temp_dir().join(format!("openbi-cli-switch-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let csv = dir.join("d.csv").to_string_lossy().into_owned();
+    let mut rows = String::from("a,b,class\n");
+    for i in 1..=12 {
+        let class = if (i % 2 == 1) != (i > 10) {
+            "yes"
+        } else {
+            "no"
+        };
+        rows += &format!("{i},{},{class}\n", ["x", "y"][i % 2]);
+    }
+    std::fs::write(&csv, rows).unwrap();
+    // The report up to its wall-clock phase timings.
+    let report = |args: &[&str]| {
+        let (stdout, _) = succeed(args);
+        stdout
+            .split("KDD phase timings")
+            .next()
+            .unwrap_or_default()
+            .to_string()
+    };
+    let first = report(&["mine", "--select", &csv, "--target", "class"]);
+    assert!(first.contains("attribute selection kept"), "{first}");
+    assert_eq!(
+        first,
+        report(&["mine", &csv, "--target", "class", "--select"])
+    );
+    let raw = report(&["mine", "--no-preprocess", &csv, "--target", "class"]);
+    assert_eq!(
+        raw,
+        report(&["mine", &csv, "--target", "class", "--no-preprocess"])
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Run `args` to success and return its stdout and stderr.
 fn succeed(args: &[&str]) -> (String, String) {
     let output = cli(args);

@@ -14,7 +14,8 @@
 //! * [`cube`] — the [`Cube`] API: declared dimensions + [`Measure`]s
 //!   over a fact table.
 //! * [`shard`] — the engine: contiguous row shards, per-shard
-//!   single-pass columnar kernels, deterministic shard-order merge;
+//!   columnar kernels (one group ranking, one fold pass per measure
+//!   source column), deterministic shard-order merge;
 //!   bitwise-identical to the frozen [`reference`](mod@reference) at any shard count.
 //! * [`accumulator`] — mergeable per-measure accumulators (exact
 //!   sum/mean via `ExactSum`, associative min/max) and the per-cell

@@ -5,9 +5,12 @@
 //! group slot — the first-seen rank, within the shard, of the row's
 //! dimension-code tuple, built one dimension at a time by ranking the
 //! (previous slot, code) pair packed into one `u64` (with no dimensions
-//! every row is slot 0 and nothing is looked up) — and then folds each
-//! row's measures into its slot's [`CellState`]. A group's key is read
-//! off its first row. Shard results are then merged **in shard order**.
+//! every row is slot 0 and nothing is looked up) — and then makes one
+//! pass per distinct measure source column, which counts the column's
+//! null cells per slot and folds its cells into every measure reading
+//! it, each slot's [`CellState`] meeting its cells in row order. A
+//! group's key is read off its first row. Shard results are then merged
+//! **in shard order**.
 //! Why that is bitwise-identical to the frozen single-threaded
 //! [`crate::reference`] at any shard count:
 //!
@@ -168,42 +171,11 @@ impl DimIndex {
     }
 }
 
-/// Typed read-only view of a measure source column yielding each cell's
-/// `(is_null, as_f64)` pair — the two facts every accumulator needs.
-enum NumView<'a> {
-    Int(&'a [Option<i64>]),
-    Float(&'a [Option<f64>]),
-    Str(&'a [Option<String>]),
-    Bool(&'a [Option<bool>]),
-}
-
-impl<'a> NumView<'a> {
-    fn new(col: &'a Column) -> NumView<'a> {
-        match col.data() {
-            ColumnData::Int(v) => NumView::Int(v),
-            ColumnData::Float(v) => NumView::Float(v),
-            ColumnData::Str(v) => NumView::Str(v),
-            ColumnData::Bool(v) => NumView::Bool(v),
-        }
-    }
-
-    fn cell(&self, row: usize) -> (bool, Option<f64>) {
-        match self {
-            NumView::Int(v) => match v[row] {
-                Some(x) => (false, Some(x as f64)),
-                None => (true, None),
-            },
-            NumView::Float(v) => match v[row] {
-                Some(x) => (false, Some(x)),
-                None => (true, None),
-            },
-            NumView::Str(v) => (v[row].is_none(), None),
-            NumView::Bool(v) => match v[row] {
-                Some(x) => (false, Some(if x { 1.0 } else { 0.0 })),
-                None => (true, None),
-            },
-        }
-    }
+/// A distinct measure source column and the measures that read it,
+/// by index into the declared measure list.
+struct Source<'a> {
+    column: &'a Column,
+    measures: Vec<usize>,
 }
 
 /// One shard's aggregation output: groups in first-seen (shard-local)
@@ -308,15 +280,16 @@ fn rank_groups(start: usize, end: usize, dims: &[DimIndex]) -> (Option<Vec<u32>>
     (Some(slots), first_rows)
 }
 
-/// Single-pass columnar aggregation of rows `[start, end)`: rank the
-/// rows into group slots, then fold each row's measures into its
-/// slot's state.
+/// Columnar aggregation of rows `[start, end)`: rank the rows into
+/// group slots, count each slot's rows, then make one pass per measure
+/// source column that counts its null cells per slot and folds them
+/// into every measure reading it. Each slot meets its cells in row
+/// order, as the reference's per-group fold does.
 fn aggregate_range(
     start: usize,
     end: usize,
     dims: &[DimIndex],
-    quality_views: &[NumView<'_>],
-    measure_view_of: &[usize],
+    sources: &[Source<'_>],
     measures: &[Measure],
 ) -> ShardAgg {
     let (slots, first_rows) = rank_groups(start, end, dims);
@@ -324,32 +297,27 @@ fn aggregate_range(
         .iter()
         .map(|_| CellState::new(measures))
         .collect();
-    let mut cells: Vec<(bool, Option<f64>)> = vec![(true, None); quality_views.len()];
-    let mut fold = |state: &mut CellState, row: usize| {
-        state.support += 1;
-        for (c, view) in cells.iter_mut().zip(quality_views) {
-            *c = view.cell(row);
-            if c.0 {
-                state.null_cells += 1;
-            }
-        }
-        for (acc, &vi) in state.accs.iter_mut().zip(measure_view_of) {
-            let (is_null, num) = cells[vi];
-            acc.update(is_null, num);
-        }
-    };
-    match slots {
+    match &slots {
         Some(slots) => {
-            for (row, &slot) in (start..end).zip(&slots) {
-                fold(&mut states[slot as usize], row);
+            for &slot in slots {
+                states[slot as usize].support += 1;
             }
         }
         None => {
             if let Some(total) = states.first_mut() {
-                for row in start..end {
-                    fold(total, row);
-                }
+                total.support = (end - start) as u64;
             }
+        }
+    }
+    for source in sources {
+        match &slots {
+            Some(slots) => fold_source(
+                source,
+                start..end,
+                slots.iter().map(|&slot| slot as usize),
+                &mut states,
+            ),
+            None => fold_source(source, start..end, std::iter::repeat(0), &mut states),
         }
     }
     let keys = first_rows
@@ -357,6 +325,64 @@ fn aggregate_range(
         .map(|&row| dims.iter().map(|d| d.ids[row]).collect())
         .collect();
     ShardAgg { keys, states }
+}
+
+/// Fold the cells of `source` in `rows` into the states at `slots` (one
+/// slot per row), with the column's type matched once.
+fn fold_source(
+    source: &Source<'_>,
+    rows: std::ops::Range<usize>,
+    slots: impl Iterator<Item = usize>,
+    states: &mut [CellState],
+) {
+    let reading = &source.measures;
+    match source.column.data() {
+        ColumnData::Float(v) => {
+            fold_cells(v[rows].iter().map(|c| c.map(Some)), slots, reading, states)
+        }
+        ColumnData::Int(v) => fold_cells(
+            v[rows].iter().map(|c| c.map(|x| Some(x as f64))),
+            slots,
+            reading,
+            states,
+        ),
+        ColumnData::Bool(v) => fold_cells(
+            v[rows]
+                .iter()
+                .map(|c| c.map(|b| Some(if b { 1.0 } else { 0.0 }))),
+            slots,
+            reading,
+            states,
+        ),
+        // A string cell is no number: only `Count` reads it.
+        ColumnData::Str(v) => fold_cells(
+            v[rows].iter().map(|c| c.as_ref().map(|_| None)),
+            slots,
+            reading,
+            states,
+        ),
+    }
+}
+
+/// Fold cells into the states at `slots`: `None` is a null cell,
+/// `Some(None)` a cell that is no number.
+fn fold_cells(
+    cells: impl Iterator<Item = Option<Option<f64>>>,
+    slots: impl Iterator<Item = usize>,
+    reading: &[usize],
+    states: &mut [CellState],
+) {
+    for (cell, slot) in cells.zip(slots) {
+        let state = &mut states[slot];
+        match cell {
+            None => state.null_cells += 1,
+            Some(num) => {
+                for &m in reading {
+                    state.accs[m].update(false, num);
+                }
+            }
+        }
+    }
 }
 
 /// Build a quality-annotated rollup of `facts` grouped by `dims`
@@ -373,22 +399,21 @@ pub fn build_cube(
     for d in dims {
         facts.column(d)?;
     }
-    // Distinct measure source columns, in first-declared order: the
-    // quality mask runs over these once per row even when several
-    // measures share a column.
-    let mut quality_cols: Vec<&str> = Vec::new();
-    let mut measure_view_of: Vec<usize> = Vec::with_capacity(measures.len());
-    for m in measures {
-        let c = m.column();
-        facts.column(c)?;
-        let vi = match quality_cols.iter().position(|q| *q == c) {
-            Some(i) => i,
-            None => {
-                quality_cols.push(c);
-                quality_cols.len() - 1
-            }
-        };
-        measure_view_of.push(vi);
+    // Distinct measure source columns, in first-declared order: each
+    // is read once per shard even when several measures share it.
+    let mut sources: Vec<Source<'_>> = Vec::new();
+    for (m, measure) in measures.iter().enumerate() {
+        let column = facts.column(measure.column())?;
+        match sources
+            .iter_mut()
+            .find(|s| s.column.name() == column.name())
+        {
+            Some(source) => source.measures.push(m),
+            None => sources.push(Source {
+                column,
+                measures: vec![m],
+            }),
+        }
     }
     // The output's column names must be distinct: refuse a repeated
     // dimension (or measure) before scanning, with the error `Table::new`
@@ -407,10 +432,6 @@ pub fn build_cube(
         .map(|d| facts.column(d).expect("validated"))
         .collect();
     let dim_views: Vec<DimIndex> = par::map(dim_cols, DimIndex::new);
-    let quality_views: Vec<NumView<'_>> = quality_cols
-        .iter()
-        .map(|c| NumView::new(facts.column(c).expect("validated")))
-        .collect();
 
     let n_shards = options.resolved_shards(facts.n_rows());
     let plan = ShardPlan::contiguous(facts.n_rows(), n_shards);
@@ -427,12 +448,7 @@ pub fn build_cube(
             match attempt_result {
                 Ok(()) => {
                     break ShardOutcome::Done(aggregate_range(
-                        start,
-                        end,
-                        &dim_views,
-                        &quality_views,
-                        &measure_view_of,
-                        measures,
+                        start, end, &dim_views, &sources, measures,
                     ))
                 }
                 Err(_) if attempt < options.max_retries => {
@@ -499,10 +515,7 @@ pub fn build_cube(
         out_cols.push(Column::from_values(m.output_name(), dtype, values)?);
     }
     let table = Table::new(out_cols)?;
-    let quality: Vec<CellQuality> = states
-        .iter()
-        .map(|s| s.quality(quality_cols.len()))
-        .collect();
+    let quality: Vec<CellQuality> = states.iter().map(|s| s.quality(sources.len())).collect();
 
     openbi_obs::counter_add("olap.cube.cells", table.n_rows() as u64);
     openbi_obs::observe_duration("olap.cube.build.seconds", build_started.elapsed());

@@ -24,7 +24,7 @@
 
 use openbi_datagen::scenario::all_scenarios;
 use openbi_olap::{reference, CellQuality, Cube, CubeOptions, CubeResult, Measure};
-use openbi_table::{Column, Table, Value};
+use openbi_table::{Column, ColumnData, Rng, Table, Value};
 use std::collections::HashMap;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
@@ -293,6 +293,56 @@ fn near_unique_dimension_pairs_rank_every_row() {
         .n_rows();
     assert_eq!(groups, n);
     assert_equivalent(facts, &["a", "b"], all_measures("x"), "near-unique pairs");
+}
+
+/// Two string dimensions whose keys share one tag of the category code
+/// cache (length and first, middle and last two bytes) but differ, so their
+/// codes come through its collision and refresh paths, with every
+/// aggregate over a `Bool` column and over a string column with nulls:
+/// a bool folds as 0 or 1, a string only counts, and a null is a null
+/// cell of the quality ratio in either.
+#[test]
+fn tag_colliding_keys_with_bool_and_string_measures() {
+    let n = 2_011; // prime, so 2/4/7 shards all cut unevenly
+    let mut rng = Rng::seed_from_u64(34);
+    let key = |lead: char, i: usize| format!("{lead}{i:03}m{:02}yz", 97 - i);
+    let a: Vec<String> = (0..n).map(|_| key('k', rng.below(24))).collect();
+    let b: Vec<Option<String>> = (0..n)
+        .map(|_| (rng.below(10) != 0).then(|| key('q', rng.below(5))))
+        .collect();
+    let flag: Vec<Option<bool>> = (0..n)
+        .map(|_| (rng.below(7) != 0).then(|| rng.below(3) == 0))
+        .collect();
+    let notes = ["ok", "late", "", "k001m96yz"];
+    let note: Vec<Option<String>> = (0..n)
+        .map(|_| (rng.below(4) != 0).then(|| notes[rng.below(notes.len())].to_string()))
+        .collect();
+    let facts = Table::new(vec![
+        Column::from_str_values("a", a),
+        Column::from_opt_str("b", b),
+        Column::new("flag", ColumnData::Bool(flag)),
+        Column::from_opt_str("note", note),
+    ])
+    .unwrap();
+    let mut measures = all_measures("flag");
+    measures.extend(all_measures("note"));
+    let total = Cube::new(facts.clone(), &["a", "b"], measures.clone())
+        .unwrap()
+        .total()
+        .unwrap();
+    for (name, nonzero) in [
+        ("sum(flag)", true),
+        ("count(note)", true),
+        ("sum(note)", false),
+    ] {
+        let value = total.get(name, 0).unwrap();
+        assert_eq!(
+            value.as_f64().is_some_and(|v| v > 0.0),
+            nonzero,
+            "{name}: {value:?}"
+        );
+    }
+    assert_equivalent(facts, &["a", "b"], measures, "tag-colliding keys");
 }
 
 /// Single-row groups: a key column with all-distinct values means more
